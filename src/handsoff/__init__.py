@@ -36,6 +36,7 @@ from .lp import (
     OPTIMAL,
     LpProblem,
     LpSolution,
+    LpStart,
     kkt_residual,
     solve_lp,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "LinearSystem",
     "LpProblem",
     "LpSolution",
+    "LpStart",
     "NUMERICAL_FAILURE",
     "NumericalError",
     "OPTIMAL",

@@ -18,10 +18,20 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
-from .dca import DcaConfig, run_dca
+from .dca import (
+    ControlSignal,
+    DcaConfig,
+    SplitControl,
+    bang_off_bang_deviation,
+    checked_lp,
+    l0_measure,
+    recombine,
+    run_dca,
+)
 from .errors import (
     AssumptionViolationError,
     DimensionError,
@@ -32,8 +42,7 @@ from .errors import (
     ParameterError,
     SizeError,
 )
-from .dca import ControlSignal, recombine, split_control, l0_measure, bang_off_bang_deviation
-from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, solve_lp
+from .lp import LpProblem, solve_lp
 from .oracle import (
     CertificateTolerances,
     brute_force_l0,
@@ -281,22 +290,25 @@ def write_trajectory_csv(path, signal: ControlSignal, states: np.ndarray) -> Non
     carry N rows (blank in the terminal row), the state columns N + 1."""
     N, m = signal.N, signal.m
     n = states.shape[1]
-    lines = [
-        "# one row per grid point t = k*delta, k = 0..N; "
-        "u_* columns have N rows (blank at k = N), x_* columns have N+1 rows"
-    ]
-    lines.append(",".join(["t"] + [f"u_{j + 1}" for j in range(m)]
-                          + [f"x_{i + 1}" for i in range(n)]))
-    for k in range(N + 1):
-        row = [_fmt(k * signal.delta)]
-        if k < N:
-            row += [_fmt(signal.samples[k, j]) for j in range(m)]
-        else:
-            row += [""] * m
-        row += [_fmt(states[k, i]) for i in range(n)]
-        lines.append(",".join(row))
+    delta = float(signal.delta)
+    # Row k holds k*delta (the same double as Python's k * delta), the
+    # controls and the states; the terminal row has no controls.
+    body = np.empty((N, 1 + m + n))
+    body[:, 0] = np.arange(N) * delta
+    body[:, 1:1 + m] = signal.samples
+    body[:, 1 + m:] = states[:N]
+    values = body.ravel().tolist() + [N * delta] + states[N].tolist()
+    # One format call for the table; on Python floats "{:.17g}" gives _fmt's bytes.
+    row = ",".join(["{:.17g}"] * (1 + m + n))
+    last = ",".join(["{:.17g}"] + [""] * m + ["{:.17g}"] * n)
+    table = "\n".join([row] * N + [last]).format(*values)
+    header = ",".join(["t"] + [f"u_{j + 1}" for j in range(m)] + [f"x_{i + 1}" for i in range(n)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# one row per grid point t = k*delta, k = 0..N; "
+                 "u_* columns have N rows (blank at k = N), x_* columns have N+1 rows\n")
+        fh.write(header + "\n")
+        fh.write(table)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +356,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _baseline_row(dp, problem, outdir, tols, with_certificate: bool):
-    q = 2 * dp.m * dp.N
-    sol = solve_lp(LpProblem(np.ones(q), dp.Phi, -dp.zeta))
-    if sol.status == INFEASIBLE:
-        raise InfeasibleProblemError(
-            f"no admissible control reaches the origin "
-            f"(phase-1 certificate {sol.phase1_value:.6e})",
-            certificate=sol.phase1_value,
-        )
-    if sol.status == NUMERICAL_FAILURE:
-        raise NumericalError("baseline l1 LP failed")
-    from .dca import SplitControl
-
+def _baseline_row(sol, dp, problem, outdir, tols, with_certificate: bool):
+    """The l1 row of the comparison table from the l1 LP's solution."""
+    sol = checked_lp(sol, "the l1 baseline")
     z_star = SplitControl(dp.delta, dp.N, dp.m, np.clip(sol.z, 0.0, 1.0))
     u = recombine(z_star)
     states = simulate(dp, problem.x0, sol.z)
@@ -373,7 +375,7 @@ def _baseline_row(dp, problem, outdir, tols, with_certificate: bool):
         "certificate": "",
     }
     if with_certificate:
-        rep = double_integrator_certificate(u, problem.x0, dp.N * dp.delta, tols)
+        rep = double_integrator_certificate(u, problem.x0, dp.N * dp.delta, tols, dp=dp)
         row["certificate"] = "pass" if rep.passed else "fail"
     return row
 
@@ -407,10 +409,16 @@ def cmd_compare(args) -> int:
     dp = build_discrete(problem, N)
     with_cert = _is_double_integrator(problem.system)
 
+    # The baseline's phase-1 basis starts every DCA run's LPs: all of them
+    # share the feasible set Phi z = -zeta.
     rows = []
     first_error = EXIT_OK
+    start = None
     try:
-        rows.append(_baseline_row(dp, problem, outdir, tols, with_cert))
+        sol = solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta),
+                       tol=cfg_dca.lp_tol)
+        start = sol.start
+        rows.append(_baseline_row(sol, dp, problem, outdir, tols, with_cert))
     except HandsOffError as exc:
         rows.append({"penalty": "l1", "status": _status_of(exc)})
         first_error = first_error or _exit_code_of(exc)
@@ -425,7 +433,7 @@ def cmd_compare(args) -> int:
         row = {"penalty": penalty_label(pen), "status": "ok", "certificate": ""}
         try:
             t0 = time.perf_counter()
-            result = run_dca(dp, pen, cfg_dca)
+            result = run_dca(dp, pen, cfg_dca, start)
             wall = time.perf_counter() - t0
             states = simulate(dp, problem.x0, result.z_star.z)
             write_trajectory_csv(outdir / f"trajectory_{tag}.csv", result.u_star, states)
@@ -441,7 +449,7 @@ def cmd_compare(args) -> int:
             })
             if with_cert:
                 rep = double_integrator_certificate(
-                    result.u_star, problem.x0, dp.N * dp.delta, tols)
+                    result.u_star, problem.x0, dp.N * dp.delta, tols, dp=dp)
                 row["certificate"] = "pass" if rep.passed else "fail"
         except HandsOffError as exc:
             row["status"] = _status_of(exc)
@@ -522,10 +530,12 @@ def cmd_oracle(args) -> int:
 
     tols = _certificate_tols(doc)
     runs = []
+    start = None  # the first run's phase-1 basis starts the later runs
     for pen in penalties:
         entry: dict = {"penalty": penalty_label(pen), "status": "ok"}
         try:
-            result = run_dca(dp, pen, cfg_dca)
+            result = run_dca(dp, pen, cfg_dca, start)
+            start = result.lp_start
             entry.update({
                 "l0": result.l0,
                 "iterations": result.iterations,
@@ -537,7 +547,7 @@ def cmd_oracle(args) -> int:
                                    and abs(result.l0 - oracle_min) <= 1e-9)
             else:
                 rep = double_integrator_certificate(
-                    result.u_star, problem.x0, dp.N * dp.delta, tols)
+                    result.u_star, problem.x0, dp.N * dp.delta, tols, dp=dp)
                 entry["certificate"] = "pass" if rep.passed else "fail"
                 entry["certificate_report"] = asdict(rep)
         except HandsOffError as exc:
@@ -578,8 +588,6 @@ def _exit_code_of(exc: Exception) -> int:
 
 
 def _outdir(args, doc: dict):
-    from pathlib import Path
-
     out = args.output or doc.get("output_dir") or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,9 @@ h(z) = sum of the concave gaps phi(z_i).  Each iteration linearizes h at the
 current point with a subgradient s and minimizes g - s @ z, which is a boxed
 LP with cost vector 1 - s; successive costs never increase.  The loop stops
 on a cost stall, a step stall, or the iteration cap, whichever fires first.
+Every LP of a run has the feasible set Phi z = -zeta, 0 <= z <= 1, so the
+simplex's phase 1 runs at most once per run, and not at all when the caller
+passes the basis of an earlier run.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +23,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, solve_lp
+from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, LpStart, solve_lp
 from .penalty import Penalty, phi, phi_subgradient, validate_assumption
 from .system import DiscreteProblem
 
@@ -124,6 +127,7 @@ class DcaResult:
     stop_reason: str
     feas_history: list[float] = field(default_factory=list)
     max_kkt_residual: float = 0.0
+    lp_start: LpStart | None = None  # phase-1 basis of dp's feasible set, for reuse
 
 
 def split_control(u: ControlSignal) -> SplitControl:
@@ -161,12 +165,38 @@ def bang_off_bang_deviation(u: ControlSignal) -> float:
     return float(np.max(np.minimum(a, np.abs(a - 1.0))))
 
 
-def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig()) -> DcaResult:
+def checked_lp(sol: LpSolution, what: str) -> LpSolution:
+    """Return an optimal LP solution; raise for the other statuses.
+
+    ``InfeasibleProblemError`` carries the phase-1 certificate;
+    ``NumericalError`` names the failed LP (``what``) and its residual.
+    """
+    if sol.status == INFEASIBLE:
+        raise InfeasibleProblemError(
+            f"no admissible control reaches the origin "
+            f"(phase-1 certificate {sol.phase1_value:.6e})",
+            certificate=sol.phase1_value,
+        )
+    if sol.status == NUMERICAL_FAILURE:
+        raise NumericalError(f"LP failure in {what} "
+                             f"(equality residual {sol.eq_residual:.3e})")
+    return sol
+
+
+def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
+            start: LpStart | None = None) -> DcaResult:
     """Iterate linearize-and-solve from the configured warm start.
 
     Warm starts: ``"zero"`` seeds only the first subgradient (the first LP
     already lands on a feasible vertex); ``"l1"`` first minimizes sum(z) over
     the feasible box, i.e. the plain l1-optimal discretized control.
+
+    Every LP of the run shares dp's feasible set, so phase 1 runs at most
+    once: the first LP finds the feasible basis and every later one starts
+    phase 2 from it.  ``start`` (an ``LpSolution.start`` for
+    ``Phi z = -zeta`` at ``cfg.lp_tol``) skips phase 1 altogether; the result
+    is the same with or without it.  The basis used is returned as
+    ``DcaResult.lp_start``.
 
     Raises ``AssumptionViolationError`` for an inadmissible penalty,
     ``InfeasibleProblemError`` (with the phase-1 certificate) when no
@@ -187,17 +217,10 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig()) -> 
     feas_gate = 1e-8
 
     def _solve(c, what):
-        sol = solve_lp(LpProblem(c, Aeq, beq), tol=cfg.lp_tol)
-        if sol.status == INFEASIBLE:
-            raise InfeasibleProblemError(
-                f"no admissible control reaches the origin "
-                f"(phase-1 certificate {sol.phase1_value:.6e})",
-                certificate=sol.phase1_value,
-            )
-        if sol.status == NUMERICAL_FAILURE:
-            raise NumericalError(f"LP failure in {what} "
-                                 f"(equality residual {sol.eq_residual:.3e})")
-        return sol
+        nonlocal start
+        sol = solve_lp(LpProblem(c, Aeq, beq), tol=cfg.lp_tol, start=start)
+        start = sol.start
+        return checked_lp(sol, what)
 
     lp_solves = 0
     max_kkt = 0.0
@@ -259,4 +282,5 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig()) -> 
         stop_reason=stop_reason,
         feas_history=feas_history,
         max_kkt_residual=max_kkt,
+        lp_start=start,
     )

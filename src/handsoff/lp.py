@@ -17,6 +17,13 @@ positive optimum is returned as the infeasibility certificate.  Pricing is
 most-negative-reduced-cost with first-index tie-breaking, switching to
 Bland's smallest-index rule after a run of degenerate pivots, which makes the
 pivot sequence (and therefore the output bytes) reproducible.
+
+Phase 1 runs once per feasible set, not once per objective.  Its pricing
+never reads ``c``, so the feasible basis it ends on is the same for every
+objective over one ``(Aeq, beq, tol)``.  A solve that reaches that basis
+returns it as ``LpSolution.start``; passing it back as ``solve_lp(...,
+start=...)`` skips phase 1 and starts phase 2 from a copy of it, with a result
+bit for bit equal to a solve from scratch.
 """
 
 from dataclasses import dataclass
@@ -54,8 +61,39 @@ class LpProblem:
             raise DimensionError(f"beq has length {self.beq.shape[0]}, expected {n}")
 
 
+@dataclass(frozen=True)
+class LpStart:
+    """The feasible phase-1 basis of the set ``Aeq @ z = beq, 0 <= z <= 1``
+    at tolerance ``tol``, reusable as the phase-2 start of any objective.
+
+    ``basis`` and ``status`` are the augmented problem's basis and bound
+    statuses (columns of Aeq, then one artificial per row).  Every array is
+    a private copy, and ``solve_lp`` copies them again before pivoting.
+    """
+
+    Aeq: np.ndarray
+    beq: np.ndarray
+    tol: float
+    phase1_value: float
+    basis: np.ndarray
+    status: np.ndarray
+
+    def matches(self, problem: LpProblem, tol: float) -> bool:
+        """Whether this start was built for ``problem``'s feasible set at ``tol``."""
+        return (self.tol == tol and np.array_equal(self.Aeq, problem.Aeq)
+                and np.array_equal(self.beq, problem.beq))
+
+
 @dataclass
 class LpSolution:
+    """Outcome of one ``solve_lp`` call.
+
+    ``iterations`` counts the pivots made by this call: phase 1's (only when
+    it ran) plus phase 2's.  ``start`` is the phase-1 basis for reuse by later
+    objectives over the same feasible set; it is set whenever phase 1 reached
+    a feasible basis, even if phase 2 then failed, and is None otherwise.
+    """
+
     z: np.ndarray
     objective: float
     status: str
@@ -64,6 +102,7 @@ class LpSolution:
     iterations: int
     duals: np.ndarray
     phase1_value: float
+    start: LpStart | None = None
 
 
 def kkt_residual(problem: LpProblem, z, duals, bound_window: float = 1e-6) -> float:
@@ -161,55 +200,69 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
                 bland = True
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
+def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None) -> LpSolution:
     """Solve the boxed LP; statuses: optimal, infeasible, numerical_failure.
 
     An ``optimal`` solution is a vertex with equality residual and KKT
     residual at most ``tol`` (verified, not assumed).  ``infeasible`` carries
     the phase-1 optimum in ``phase1_value`` together with the closest point
     found, whose equality residual it bounds.
+
+    With ``start`` (the ``start`` of an earlier solution over the same
+    ``Aeq``, ``beq`` and ``tol``) phase 1 is skipped and phase 2 begins from
+    that basis; the result equals a solve without it, bit for bit, apart from
+    ``iterations``.  A start built for another feasible set or tolerance
+    raises ``ParameterError``.
     """
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
+    if start is not None and not start.matches(problem, tol):
+        raise ParameterError("start was built for another Aeq, beq or tol")
     n, q = problem.Aeq.shape
     r = problem.beq
     signs = np.where(r < 0, -1.0, 1.0)
     A = np.hstack([problem.Aeq, np.diag(signs)])
-    art_ub = float(np.sum(np.abs(r))) + 1.0
     lower = np.zeros(q + n)
-    upper = np.concatenate([np.ones(q), np.full(n, art_ub)])
-    status = np.full(q + n, _LOWER, dtype=np.int8)
-    status[q:] = _BASIC
-    basis = np.arange(q, q + n)
+    upper = np.ones(q + n)
     max_iter = 50 * (q + n) + 1000
     dual_tol = 0.5 * tol
 
-    def _failure(x, duals, iters, phase1):
+    def _failure(x, duals, iters):
         z = x[:q] if x is not None else np.zeros(q)
         y = duals if duals is not None else np.zeros(n)
         eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
+        phase1 = float("inf") if start is None else start.phase1_value
         return LpSolution(z, float(problem.c @ z), NUMERICAL_FAILURE, eq,
-                          float("inf"), iters, y, phase1)
+                          float("inf"), iters, y, phase1, start)
 
-    c1 = np.concatenate([np.zeros(q), np.ones(n)])
-    out, x, duals, it1 = _simplex(A, r, c1, lower, upper, basis, status, dual_tol, max_iter)
-    if out != "optimal":
-        return _failure(x, duals, it1, float("inf"))
-    phase1 = float(c1 @ x)
-    if phase1 > tol:
-        z = x[:q].copy()
-        eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
-        return LpSolution(z, float(problem.c @ z), INFEASIBLE, eq, float("inf"),
-                          it1, duals.copy(), phase1)
+    if start is None:
+        upper[q:] = float(np.sum(np.abs(r))) + 1.0
+        status = np.full(q + n, _LOWER, dtype=np.int8)
+        status[q:] = _BASIC
+        basis = np.arange(q, q + n)
+        c1 = np.concatenate([np.zeros(q), np.ones(n)])
+        out, x, duals, it1 = _simplex(A, r, c1, lower, upper, basis, status, dual_tol, max_iter)
+        if out != "optimal":
+            return _failure(x, duals, it1)
+        phase1 = float(c1 @ x)
+        if phase1 > tol:
+            z = x[:q].copy()
+            eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
+            return LpSolution(z, float(problem.c @ z), INFEASIBLE, eq, float("inf"),
+                              it1, duals.copy(), phase1)
+        start = LpStart(problem.Aeq.copy(), r.copy(), tol, phase1, basis.copy(), status.copy())
+    else:
+        it1 = 0
+        basis, status = start.basis.copy(), start.status.copy()
 
     upper[q:] = 0.0  # artificials pinned for phase 2
     c2 = np.concatenate([problem.c, np.zeros(n)])
     out, x, duals, it2 = _simplex(A, r, c2, lower, upper, basis, status, dual_tol, max_iter)
     if out != "optimal":
-        return _failure(x, duals, it1 + it2, phase1)
+        return _failure(x, duals, it1 + it2)
     z = x[:q].copy()
     eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
     kkt = kkt_residual(problem, z, duals)
     status_final = OPTIMAL if (eq <= tol and kkt <= tol) else NUMERICAL_FAILURE
     return LpSolution(z, float(problem.c @ z), status_final, eq, kkt,
-                      it1 + it2, duals.copy(), phase1)
+                      it1 + it2, duals.copy(), start.phase1_value, start)

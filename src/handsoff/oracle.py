@@ -70,6 +70,8 @@ def double_integrator_certificate(
     x0,
     T: float,
     tols: CertificateTolerances | None = None,
+    *,
+    dp: DiscreteProblem | None = None,
 ) -> CertificateReport:
     """Check a single-input signal against the closed-form optimality facts
     for the double integrator started at x0 = (xi1, xi2) with xi2 < 0 and
@@ -80,6 +82,9 @@ def double_integrator_certificate(
     legitimately sit between bounds); the support measure equals -xi2; the
     iterated integral of u from 0 equals -xi1 - xi2*T (compared through its
     left-Riemann double sum); and simulating the signal lands on the origin.
+
+    The simulation uses ``dp`` when given (the caller's discretization of the
+    double integrator on u's grid) and discretizes over [0, T] otherwise.
     """
     tols = tols or CertificateTolerances()
     x0 = as_vector(x0, "x0")
@@ -120,7 +125,13 @@ def double_integrator_certificate(
     l0_measured = l0_measure(u, tols.support_threshold)
     dblint_measured = float(delta * delta * np.sum(np.cumsum(s)[:-1])) if N > 1 else 0.0
 
-    dp = build_discrete(ControlProblem(double_integrator(), x0, T), N)
+    if dp is None:
+        dp = build_discrete(ControlProblem(double_integrator(), x0, T), N)
+    elif dp.n != 2 or dp.m != 1 or dp.N != N or dp.delta != delta:
+        raise DimensionError(
+            f"dp has n={dp.n}, m={dp.m}, N={dp.N}, delta={dp.delta}; "
+            f"the certificate needs n=2, m=1, N={N}, delta={delta}"
+        )
     states = simulate(dp, x0, split_control(u).z)
     terminal_norm = float(np.linalg.norm(states[-1]))
 

@@ -243,6 +243,128 @@ def test_compare_infeasible_problem(tmp_path):
     assert statuses == ["infeasible", "infeasible"]
 
 
+def count_lp_calls(monkeypatch):
+    """Wrap solve_lp where cli and dca bind it; returns the list of the
+    ``start`` arguments of every call, None for a call that runs phase 1."""
+    import handsoff.cli
+    import handsoff.dca
+
+    starts = []
+    original = handsoff.dca.solve_lp
+
+    def counting(problem, tol=1e-9, start=None):
+        starts.append(start)
+        return original(problem, tol=tol, start=start)
+
+    for mod in (handsoff.cli, handsoff.dca):
+        monkeypatch.setattr(mod, "solve_lp", counting)
+    return starts
+
+
+def test_compare_runs_phase_1_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, N=40, penalty=[
+        {"kind": "mcp", "lambda": 1.0, "alpha": 0.5},
+        {"kind": "scad", "lambda": 0.25, "alpha": 3.0},
+    ])
+    starts = count_lp_calls(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
+    rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert len(starts) == sum(int(row[6]) for row in rows)  # lp_solves, l1 row included
+    assert starts.count(None) == 1 and starts[0] is None
+
+
+def test_oracle_runs_phase_1_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, N=100, penalty=[
+        {"kind": "mcp", "lambda": 1.0, "alpha": 0.5},
+        {"kind": "l1l2", "lambda": 0.1},
+        {"kind": "scad", "lambda": 0.25, "alpha": 3.0},
+    ])
+    starts = count_lp_calls(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
+    runs = json.loads((out / "oracle.json").read_text())["runs"]
+    assert len(starts) == sum(run["lp_solves"] for run in runs)
+    assert starts.count(None) == 1 and all(run["certificate"] == "pass" for run in runs)
+
+
+def test_compare_discretizes_once(tmp_path, monkeypatch):
+    import handsoff.cli
+    import handsoff.oracle
+
+    built = []
+    original = handsoff.cli.build_discrete
+
+    def counting(problem, N):
+        built.append(N)
+        return original(problem, N)
+
+    for mod in (handsoff.cli, handsoff.oracle):
+        monkeypatch.setattr(mod, "build_discrete", counting)
+    cfg = write_config(tmp_path, N=40, penalty=[{"kind": "l1l2", "lambda": 0.1}])
+    assert main(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+    assert built == [40]
+
+
+# ---------------------------------------------------------------------------
+# trajectory CSV
+
+def legacy_trajectory_csv(signal, states) -> str:
+    """The writer's bytes as first specified: one _fmt call per cell."""
+    from handsoff.cli import _fmt
+
+    N, m = signal.N, signal.m
+    n = states.shape[1]
+    lines = [
+        "# one row per grid point t = k*delta, k = 0..N; "
+        "u_* columns have N rows (blank at k = N), x_* columns have N+1 rows",
+        ",".join(["t"] + [f"u_{j + 1}" for j in range(m)] + [f"x_{i + 1}" for i in range(n)]),
+    ]
+    for k in range(N + 1):
+        row = [_fmt(k * signal.delta)]
+        row += [_fmt(signal.samples[k, j]) for j in range(m)] if k < N else [""] * m
+        row += [_fmt(states[k, i]) for i in range(n)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("delta", [5.0 / 4000, np.float64(0.1), 1.0])
+def test_trajectory_csv_bytes_match_per_cell_formatting(tmp_path, delta):
+    from handsoff.cli import write_trajectory_csv
+    from handsoff.dca import ControlSignal
+
+    tiny = 5e-324
+    samples = np.array([[-0.0, 1.0], [tiny, -1.0], [2.2250738585072014e-308 / 3, 0.0],
+                        [1.0 / 3.0, -2.0 / 3.0], [0.0, 1e-17]])
+    rng = np.random.default_rng(0)
+    states = np.vstack([
+        [1e8, -1e8, 0.0],
+        1e8 * rng.normal(size=(2, 3)),
+        [3.0, -0.0, 1e16],
+        [tiny, -tiny, 123456789.0],
+        [np.pi, -np.e, 0.1],
+    ])
+    signal = ControlSignal(delta, samples)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, signal, states)
+    assert path.read_bytes() == legacy_trajectory_csv(signal, states).encode("utf-8")
+
+
+def test_trajectory_csv_bytes_match_on_a_long_random_trajectory(tmp_path):
+    from handsoff.cli import write_trajectory_csv
+    from handsoff.dca import ControlSignal
+
+    rng = np.random.default_rng(3)
+    N = 1000
+    samples = np.round(rng.uniform(-1.0, 1.0, size=(N, 2)), int(rng.integers(0, 17)))
+    states = 1e8 * rng.normal(size=(N + 1, 3))
+    states[::7] = np.round(states[::7])
+    signal = ControlSignal(7.0 / N, samples)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, signal, states)
+    assert path.read_bytes() == legacy_trajectory_csv(signal, states).encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

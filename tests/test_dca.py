@@ -1,3 +1,5 @@
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from handsoff.dca import (
     DcaResult,
     SplitControl,
     bang_off_bang_deviation,
+    checked_lp,
     cost_jd,
     l0_measure,
     recombine,
@@ -20,8 +23,10 @@ from handsoff.errors import (
     DimensionError,
     DomainError,
     InfeasibleProblemError,
+    NumericalError,
     ParameterError,
 )
+from handsoff.lp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, LpProblem, LpSolution, solve_lp
 from handsoff.oracle import brute_force_l0, make_exact_instance
 from handsoff.penalty import Penalty, equivalence_constant
 from handsoff.system import ControlProblem, build_discrete, double_integrator
@@ -218,3 +223,76 @@ def test_result_reproducible():
     assert np.array_equal(a.z_star.z, b.z_star.z)
     assert a.cost_history == b.cost_history
     assert a.iterations == b.iterations
+
+
+# ---------------------------------------------------------------------------
+# one phase 1 per feasible set
+
+def assert_same(a, b):
+    """Field-by-field equality, bit for bit, through nested dataclasses."""
+    if is_dataclass(a):
+        assert type(a) is type(b)
+        for f in fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+def count_phase1(monkeypatch):
+    """Wrap dca's solve_lp; the returned list gains one entry per call that
+    runs phase 1 (called without a start)."""
+    import handsoff.dca
+
+    calls = []
+    original = handsoff.dca.solve_lp
+
+    def counting(problem, tol=1e-9, start=None):
+        if start is None:
+            calls.append(problem)
+        return original(problem, tol=tol, start=start)
+
+    monkeypatch.setattr(handsoff.dca, "solve_lp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("warm_start", ["zero", "l1"])
+@pytest.mark.parametrize("pen", CATALOG, ids=lambda p: p.kind)
+def test_passed_start_gives_the_same_result(pen, warm_start):
+    dp = benchmark_dp(40)
+    cfg = DcaConfig(warm_start=warm_start)
+    fresh = run_dca(dp, pen, cfg)
+    start = solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta)).start
+    shared = run_dca(dp, pen, cfg, start)
+    assert_same(shared, fresh)
+    assert shared.lp_start is start
+
+
+def test_run_dca_runs_phase_1_once(monkeypatch):
+    calls = count_phase1(monkeypatch)
+    dp = benchmark_dp(40)
+    res = run_dca(dp, Penalty("mcp", 1.0, alpha=0.5), DcaConfig(warm_start="l1"))
+    assert res.lp_solves >= 2 and len(calls) == 1
+    run_dca(dp, Penalty("scad", 0.25, alpha=3.0), DcaConfig(warm_start="l1"), res.lp_start)
+    assert len(calls) == 1
+
+
+def test_start_for_another_problem_is_refused():
+    start = run_dca(benchmark_dp(20), Penalty("l1l2", 0.1)).lp_start
+    with pytest.raises(ParameterError):
+        run_dca(benchmark_dp(30), Penalty("l1l2", 0.1), DcaConfig(), start)
+    with pytest.raises(ParameterError):
+        run_dca(benchmark_dp(20), Penalty("l1l2", 0.1), DcaConfig(lp_tol=1e-8), start)
+
+
+def test_checked_lp_maps_statuses():
+    ok = LpSolution(np.zeros(1), 0.0, OPTIMAL, 0.0, 0.0, 0, np.zeros(1), 0.0)
+    assert checked_lp(ok, "x") is ok
+    with pytest.raises(InfeasibleProblemError) as exc:
+        checked_lp(LpSolution(np.zeros(1), 0.0, INFEASIBLE, 1.0, np.inf, 0,
+                              np.zeros(1), 0.25), "x")
+    assert exc.value.certificate == 0.25
+    with pytest.raises(NumericalError, match="LP failure in the test LP"):
+        checked_lp(LpSolution(np.zeros(1), 0.0, NUMERICAL_FAILURE, 1.0, np.inf, 0,
+                              np.zeros(1), 0.0), "the test LP")

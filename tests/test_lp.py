@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handsoff.errors import DimensionError, DomainError, ParameterError
 from handsoff.lp import (
@@ -9,6 +10,7 @@ from handsoff.lp import (
     NUMERICAL_FAILURE,
     OPTIMAL,
     LpProblem,
+    LpSolution,
     kkt_residual,
     solve_lp,
 )
@@ -180,3 +182,114 @@ def test_tol_validation():
         solve_lp(p, tol=0.0)
     with pytest.raises(ParameterError):
         solve_lp(p, tol=float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# phase 1 once per feasible set: solves from a shared start
+
+def boxed_lp(seed, rows, cols, kind):
+    """A random feasible set of the given kind: ``feasible`` (b from an
+    interior point), ``degenerate`` (integer rows, a repeated row and b from a
+    box vertex) or ``infeasible`` (row 0 asks more than the box can give)."""
+    rng = np.random.default_rng(seed)
+    if kind == "degenerate":
+        A = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+        if rows > 1:
+            A[-1] = A[0]
+        b = A @ rng.integers(0, 2, size=cols).astype(float)
+    else:
+        A = rng.normal(size=(rows, cols))
+        b = A @ rng.uniform(0.0, 1.0, size=cols)
+        if kind == "infeasible":
+            b[0] = np.sum(np.abs(A[0])) + 1.0
+    return A, b
+
+
+def objectives(seed, cols):
+    """Dense, tied (small integers), constant and zero costs."""
+    rng = np.random.default_rng([seed, 1])
+    return [rng.normal(size=cols), rng.integers(-1, 2, size=cols).astype(float),
+            np.ones(cols), np.zeros(cols), -np.ones(cols)]
+
+
+def assert_same_solution(a: LpSolution, b: LpSolution):
+    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(a.duals, b.duals)
+    assert a.objective == b.objective
+    assert a.status == b.status
+    assert a.eq_residual == b.eq_residual
+    assert a.kkt_residual == b.kkt_residual
+    assert a.phase1_value == b.phase1_value
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 3),
+    extra=st.integers(1, 6),
+    kind=st.sampled_from(["feasible", "degenerate", "infeasible"]),
+)
+def test_shared_start_matches_fresh_solves(seed, rows, extra, kind):
+    A, b = boxed_lp(seed, rows, rows + extra, kind)
+    costs = objectives(seed, rows + extra)
+    first = solve_lp(LpProblem(costs[0], A, b))
+    if kind == "infeasible":
+        assert first.status == INFEASIBLE and first.start is None
+        return
+    start = first.start
+    assert start is not None
+    basis, status = start.basis.copy(), start.status.copy()
+    phase1_pivots = set()
+    for c in costs:
+        p = LpProblem(c, A, b)
+        fresh = solve_lp(p)
+        shared = solve_lp(p, start=start)
+        assert_same_solution(shared, fresh)
+        assert shared.start is start
+        phase1_pivots.add(fresh.iterations - shared.iterations)
+    # phase 1 never reads c: it makes the same pivots for every objective
+    assert len(phase1_pivots) == 1 and min(phase1_pivots) >= 0
+    assert np.array_equal(start.basis, basis) and np.array_equal(start.status, status)
+
+
+def test_shared_start_matches_enumeration():
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        rows = int(rng.integers(1, 4))
+        cols = int(rng.integers(rows + 1, 9))
+        A, b = boxed_lp(int(rng.integers(2**31)), rows, cols, "feasible")
+        start = solve_lp(LpProblem(np.ones(cols), A, b)).start
+        for c in objectives(trial, cols):
+            sol = solve_lp(LpProblem(c, A, b), start=start)
+            assert sol.status == OPTIMAL, f"trial {trial}"
+            assert sol.objective == pytest.approx(enumerate_optimum(c, A, b), abs=1e-9)
+            assert sol.kkt_residual <= 1e-9
+            interior = np.sum((sol.z > 1e-7) & (sol.z < 1.0 - 1e-7))
+            assert interior <= rows, f"trial {trial}: not a vertex"
+
+
+def test_start_for_another_feasible_set_is_refused():
+    rng = np.random.default_rng(5)
+    p = random_feasible_problem(rng, 2, 6)
+    start = solve_lp(p).start
+    other_b = LpProblem(p.c, p.Aeq, p.beq + 1e-3)
+    other_A = LpProblem(p.c, p.Aeq * (1.0 + 1e-12), p.beq)
+    wider = LpProblem(np.zeros(7), np.hstack([p.Aeq, np.ones((2, 1))]), p.beq)
+    for bad in (other_b, other_A, wider):
+        with pytest.raises(ParameterError):
+            solve_lp(bad, start=start)
+    with pytest.raises(ParameterError):
+        solve_lp(p, tol=1e-8, start=start)
+    assert solve_lp(LpProblem(p.c.copy(), p.Aeq.copy(), p.beq.copy()), start=start).status == OPTIMAL
+
+
+def test_start_survives_a_failed_phase_2():
+    # phase 1 ends with no artificial mass, but no rounded vertex meets tol=1e-300
+    rng = np.random.default_rng(1)
+    A = rng.normal(size=(2, 5))
+    b = A @ rng.uniform(0.0, 1.0, size=5)
+    sol = solve_lp(LpProblem(np.ones(5), A, b), tol=1e-300)
+    assert sol.status == NUMERICAL_FAILURE and sol.phase1_value == 0.0
+    assert sol.start is not None
+    p = LpProblem(-np.ones(5), A, b)
+    assert_same_solution(solve_lp(p, tol=1e-300, start=sol.start), solve_lp(p, tol=1e-300))

@@ -55,6 +55,19 @@ def test_certificate_accepts_unit_indicator(N):
     assert report.n_fractional == 0
 
 
+def test_certificate_reuses_the_callers_discretization():
+    N = 400
+    u = indicator_signal(N)
+    dp = build_discrete(ControlProblem(double_integrator(), X0, T), N)
+    assert double_integrator_certificate(u, X0, T, dp=dp) == double_integrator_certificate(u, X0, T)
+    coarse = build_discrete(ControlProblem(double_integrator(), X0, T), N // 2)
+    with pytest.raises(DimensionError):
+        double_integrator_certificate(u, X0, T, dp=coarse)
+    other = build_discrete(ControlProblem(double_integrator(), X0, 2 * T), N)
+    with pytest.raises(DimensionError):
+        double_integrator_certificate(u, X0, T, dp=other)
+
+
 def test_certificate_rejects_scaled_indicator():
     # half-amplitude over twice the window steers to the origin as well but
     # is not a minimum-support control
