@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +35,9 @@ from .dca import (
 )
 from .errors import (
     AssumptionViolationError,
-    DimensionError,
-    DomainError,
     HandsOffError,
     InfeasibleProblemError,
     NumericalError,
-    ParameterError,
     SizeError,
 )
 from .lp import LpProblem, solve_lp
@@ -375,7 +373,7 @@ def _baseline_row(sol, dp, problem, outdir, tols, with_certificate: bool):
         "certificate": "",
     }
     if with_certificate:
-        rep = double_integrator_certificate(u, problem.x0, dp.N * dp.delta, tols, dp=dp)
+        rep = double_integrator_certificate(u, problem.x0, dp.N * dp.delta, tols, states=states)
         row["certificate"] = "pass" if rep.passed else "fail"
     return row
 
@@ -420,8 +418,9 @@ def cmd_compare(args) -> int:
         start = sol.start
         rows.append(_baseline_row(sol, dp, problem, outdir, tols, with_cert))
     except HandsOffError as exc:
-        rows.append({"penalty": "l1", "status": _status_of(exc)})
-        first_error = first_error or _exit_code_of(exc)
+        outcome = _outcome(exc)
+        rows.append({"penalty": "l1", "status": outcome.status})
+        first_error = first_error or outcome.exit_code
         print(f"l1 baseline failed: {exc}", file=sys.stderr)
 
     seen: dict[str, int] = {}
@@ -449,11 +448,12 @@ def cmd_compare(args) -> int:
             })
             if with_cert:
                 rep = double_integrator_certificate(
-                    result.u_star, problem.x0, dp.N * dp.delta, tols, dp=dp)
+                    result.u_star, problem.x0, dp.N * dp.delta, tols, states=states)
                 row["certificate"] = "pass" if rep.passed else "fail"
         except HandsOffError as exc:
-            row["status"] = _status_of(exc)
-            first_error = first_error or _exit_code_of(exc)
+            outcome = _outcome(exc)
+            row["status"] = outcome.status
+            first_error = first_error or outcome.exit_code
             print(f"{penalty_label(pen)} failed: {exc}", file=sys.stderr)
         rows.append(row)
 
@@ -546,12 +546,13 @@ def cmd_oracle(args) -> int:
                 entry["agrees"] = (oracle_min is not None
                                    and abs(result.l0 - oracle_min) <= 1e-9)
             else:
+                states = simulate(dp, problem.x0, result.z_star.z)
                 rep = double_integrator_certificate(
-                    result.u_star, problem.x0, dp.N * dp.delta, tols, dp=dp)
+                    result.u_star, problem.x0, dp.N * dp.delta, tols, states=states)
                 entry["certificate"] = "pass" if rep.passed else "fail"
                 entry["certificate_report"] = asdict(rep)
         except HandsOffError as exc:
-            entry["status"] = _status_of(exc)
+            entry["status"] = _outcome(exc).status
             print(f"{penalty_label(pen)} failed: {exc}", file=sys.stderr)
         runs.append(entry)
     report["runs"] = runs
@@ -565,26 +566,29 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _status_of(exc: HandsOffError) -> str:
-    if isinstance(exc, InfeasibleProblemError):
-        return "infeasible"
-    if isinstance(exc, NumericalError):
-        return "numerical_failure"
-    if isinstance(exc, AssumptionViolationError):
-        return "assumption_violated"
-    return "config_error"
+class Outcome(NamedTuple):
+    """How a package error surfaces: table row status, exit code, stderr prefix."""
+
+    status: str
+    exit_code: int
+    prefix: str
 
 
-def _exit_code_of(exc: Exception) -> int:
-    if isinstance(exc, InfeasibleProblemError):
-        return EXIT_INFEASIBLE
-    if isinstance(exc, NumericalError):
-        return EXIT_NUMERICAL
-    if isinstance(exc, AssumptionViolationError):
-        return EXIT_ASSUMPTION
-    if isinstance(exc, SizeError):
-        return EXIT_SIZE
-    return EXIT_CONFIG
+# Looked up along the exception's MRO, so ConfigError, ParameterError,
+# DimensionError and DomainError take the HandsOffError entry.
+OUTCOMES: dict[type, Outcome] = {
+    InfeasibleProblemError: Outcome("infeasible", EXIT_INFEASIBLE, "infeasible"),
+    NumericalError: Outcome("numerical_failure", EXIT_NUMERICAL, "numerical failure"),
+    AssumptionViolationError: Outcome("assumption_violated", EXIT_ASSUMPTION,
+                                      "assumption violated"),
+    SizeError: Outcome("config_error", EXIT_SIZE, "instance too large"),
+    HandsOffError: Outcome("config_error", EXIT_CONFIG, "configuration error"),
+}
+
+
+def _outcome(exc: HandsOffError) -> Outcome:
+    """The entry of the nearest class of ``exc`` in ``OUTCOMES``."""
+    return next(OUTCOMES[c] for c in type(exc).__mro__ if c in OUTCOMES)
 
 
 def _outdir(args, doc: dict):
@@ -636,21 +640,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, DimensionError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleProblemError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except AssumptionViolationError as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except SizeError as exc:
-        print(f"instance too large: {exc}", file=sys.stderr)
-        return EXIT_SIZE
+    except HandsOffError as exc:
+        outcome = _outcome(exc)
+        print(f"{outcome.prefix}: {exc}", file=sys.stderr)
+        return outcome.exit_code
 
 
 def entry() -> None:

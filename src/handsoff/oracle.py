@@ -16,7 +16,7 @@ import numpy as np
 
 from .dca import ControlSignal, l0_measure, split_control
 from .errors import DimensionError, DomainError, ParameterError, SizeError
-from .linalg import as_vector
+from .linalg import as_matrix, as_vector
 from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete, double_integrator, simulate
 
 _MAX_ENUM_VARS = 16
@@ -71,7 +71,7 @@ def double_integrator_certificate(
     T: float,
     tols: CertificateTolerances | None = None,
     *,
-    dp: DiscreteProblem | None = None,
+    states: np.ndarray | None = None,
 ) -> CertificateReport:
     """Check a single-input signal against the closed-form optimality facts
     for the double integrator started at x0 = (xi1, xi2) with xi2 < 0 and
@@ -83,8 +83,10 @@ def double_integrator_certificate(
     iterated integral of u from 0 equals -xi1 - xi2*T (compared through its
     left-Riemann double sum); and simulating the signal lands on the origin.
 
-    The simulation uses ``dp`` when given (the caller's discretization of the
-    double integrator on u's grid) and discretizes over [0, T] otherwise.
+    ``states`` is the caller's trajectory of u, shape (N+1, 2), from x0 at
+    k = 0 to the terminal state at k = N; any other shape raises
+    DimensionError.  Without it the certificate discretizes the double
+    integrator over [0, T] and simulates u itself.
     """
     tols = tols or CertificateTolerances()
     x0 = as_vector(x0, "x0")
@@ -125,14 +127,13 @@ def double_integrator_certificate(
     l0_measured = l0_measure(u, tols.support_threshold)
     dblint_measured = float(delta * delta * np.sum(np.cumsum(s)[:-1])) if N > 1 else 0.0
 
-    if dp is None:
+    if states is None:
         dp = build_discrete(ControlProblem(double_integrator(), x0, T), N)
-    elif dp.n != 2 or dp.m != 1 or dp.N != N or dp.delta != delta:
-        raise DimensionError(
-            f"dp has n={dp.n}, m={dp.m}, N={dp.N}, delta={dp.delta}; "
-            f"the certificate needs n=2, m=1, N={N}, delta={delta}"
-        )
-    states = simulate(dp, x0, split_control(u).z)
+        states = simulate(dp, x0, split_control(u).z)
+    else:
+        states = as_matrix(states, "states")
+        if states.shape != (N + 1, 2):
+            raise DimensionError(f"states has shape {states.shape}, expected {(N + 1, 2)}")
     terminal_norm = float(np.linalg.norm(states[-1]))
 
     passed = (

@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from handsoff.cli import main
+from handsoff.cli import ConfigError, main
+from handsoff.errors import (
+    AssumptionViolationError,
+    DimensionError,
+    DomainError,
+    HandsOffError,
+    InfeasibleProblemError,
+    NumericalError,
+    ParameterError,
+    SizeError,
+)
 from handsoff.penalty import Penalty
 from handsoff.cli import parse_penalty_spec, penalty_from_mapping, penalty_label
 
@@ -42,8 +52,6 @@ def test_parse_penalty_spec():
 
 
 def test_parse_penalty_spec_errors():
-    from handsoff.cli import ConfigError
-
     with pytest.raises(ConfigError):
         parse_penalty_spec("")
     with pytest.raises(ConfigError):
@@ -304,6 +312,87 @@ def test_compare_discretizes_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, N=40, penalty=[{"kind": "l1l2", "lambda": 0.1}])
     assert main(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
     assert built == [40]
+
+
+def count_simulate_calls(monkeypatch):
+    """Wrap simulate where cli and oracle bind it; returns the list of
+    calls, one N per call."""
+    import handsoff.cli
+    import handsoff.oracle
+
+    calls = []
+    original = handsoff.cli.simulate
+
+    def counting(dp, x0, z):
+        calls.append(dp.N)
+        return original(dp, x0, z)
+
+    for mod in (handsoff.cli, handsoff.oracle):
+        monkeypatch.setattr(mod, "simulate", counting)
+    return calls
+
+
+def test_compare_simulates_each_solved_row_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, N=40, penalty=[
+        {"kind": "l1l2", "lambda": 0.1},
+        {"kind": "scad", "lambda": 0.25, "alpha": 3.0},
+        {"kind": "l1l2", "lambda": 1.0},  # fails the assumption check
+    ])
+    calls = count_simulate_calls(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--output", str(out)]) == 4
+    rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["ok", "ok", "ok", "assumption_violated"]
+    assert [row[-1] for row in rows[:3]] == ["pass"] * 3
+    assert calls == [40] * 3
+
+
+def test_oracle_certificate_mode_simulates_each_run_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, N=100, penalty=[
+        {"kind": "mcp", "lambda": 1.0, "alpha": 0.5},
+        {"kind": "l1l2", "lambda": 0.1},
+    ])
+    calls = count_simulate_calls(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
+    runs = json.loads((out / "oracle.json").read_text())["runs"]
+    assert [run["certificate"] for run in runs] == ["pass", "pass"]
+    assert calls == [100] * 2
+
+
+ERROR_OUTCOMES = [
+    (ConfigError, "config_error", 1, "configuration error"),
+    (ParameterError, "config_error", 1, "configuration error"),
+    (DimensionError, "config_error", 1, "configuration error"),
+    (DomainError, "config_error", 1, "configuration error"),
+    (InfeasibleProblemError, "infeasible", 2, "infeasible"),
+    (NumericalError, "numerical_failure", 3, "numerical failure"),
+    (AssumptionViolationError, "assumption_violated", 4, "assumption violated"),
+    (SizeError, "config_error", 5, "instance too large"),
+]
+
+
+def test_error_outcomes_cover_every_package_error():
+    assert {row[0] for row in ERROR_OUTCOMES} == set(HandsOffError.__subclasses__())
+
+
+@pytest.mark.parametrize("exc_type,status,code,prefix", ERROR_OUTCOMES,
+                         ids=[row[0].__name__ for row in ERROR_OUTCOMES])
+def test_error_outcome(tmp_path, monkeypatch, capsys, exc_type, status, code, prefix):
+    import handsoff.cli
+
+    def failing(*args, **kwargs):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(handsoff.cli, "run_dca", failing)
+    cfg = write_config(tmp_path, N=20)
+    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "s")]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+    out = tmp_path / "c"
+    assert main(["compare", "--config", cfg, "--output", str(out)]) == code
+    assert capsys.readouterr().err == "l1l2 lambda=0.1 failed: boom\n"
+    rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["ok", status]
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,15 @@ def test_certificate_accepts_unit_indicator(N):
     assert report.n_fractional == 0
 
 
-def test_certificate_reuses_the_callers_discretization():
+def test_certificate_takes_the_callers_states():
     N = 400
     u = indicator_signal(N)
     dp = build_discrete(ControlProblem(double_integrator(), X0, T), N)
-    assert double_integrator_certificate(u, X0, T, dp=dp) == double_integrator_certificate(u, X0, T)
-    coarse = build_discrete(ControlProblem(double_integrator(), X0, T), N // 2)
-    with pytest.raises(DimensionError):
-        double_integrator_certificate(u, X0, T, dp=coarse)
-    other = build_discrete(ControlProblem(double_integrator(), X0, 2 * T), N)
-    with pytest.raises(DimensionError):
-        double_integrator_certificate(u, X0, T, dp=other)
+    states = simulate(dp, X0, split_control(u).z)
+    assert double_integrator_certificate(u, X0, T, states=states) == double_integrator_certificate(u, X0, T)
+    for bad in (states[:-1], states[:, :1], np.hstack([states, states[:, :1]]), states[:, 0]):
+        with pytest.raises(DimensionError):
+            double_integrator_certificate(u, X0, T, states=bad)
 
 
 def test_certificate_rejects_scaled_indicator():

@@ -122,6 +122,54 @@ def test_final_state_matches_stacked_form(seed, N):
     assert np.max(np.abs(final - (dp.zeta + dp.Phi @ z))) <= 1e-9
 
 
+def stepped_in_longdouble(dp, x0, z):
+    """The recursion x_{k+1} = Ad x_k + Bd z_k stepped one sample at a time
+    in extended precision."""
+    Ad, Bd = dp.Ad.astype(np.longdouble), dp.Bd.astype(np.longdouble)
+    blocks = z.astype(np.longdouble).reshape(dp.N, -1)
+    states = [x0.astype(np.longdouble)]
+    for zk in blocks:
+        states.append(Ad @ states[-1] + Bd @ zk)
+    return np.array(states)
+
+
+# lengths around every power of two, where the scan gains a doubling step
+SCAN_LENGTHS = sorted({1, 2, 3, 3000}
+                      | {2**k + d for k in range(2, 12) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SCAN_LENGTHS), st.booleans())
+def test_scan_matches_extended_precision_stepping(seed, N, stable):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 4))
+    M = rng.normal(scale=0.5, size=(n, n))
+    # shift the spectrum so its rightmost real part is -c or +c
+    c = float(rng.uniform(0.1, 1.0))
+    shift = np.max(np.linalg.eigvals(M).real) + (c if stable else -c)
+    sys_ = LinearSystem(M - shift * np.eye(n), rng.normal(size=(n, m)))
+    prob = ControlProblem(sys_, rng.normal(size=n), float(rng.uniform(0.5, 4.0)))
+    dp = build_discrete(prob, N)
+    z = rng.uniform(0.0, 1.0, size=2 * m * N)
+    want = stepped_in_longdouble(dp, prob.x0, z)
+    got = simulate(dp, prob.x0, z)
+    assert got.shape == (N + 1, n) and got.dtype == np.float64
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(got - want))) <= 1e-10 * scale
+
+
+def test_simulate_leaves_its_inputs_alone():
+    dp = build_discrete(benchmark_problem(), 37)
+    x0 = np.array([1.0, -1.0])
+    z = np.random.default_rng(3).uniform(0.0, 1.0, size=2 * dp.N)
+    x0_before, z_before = x0.copy(), z.copy()
+    states = simulate(dp, x0, z)
+    assert np.array_equal(x0, x0_before) and np.array_equal(z, z_before)
+    assert np.array_equal(states[0], x0)
+    assert not np.shares_memory(states, x0) and not np.shares_memory(states, z)
+
+
 # ---------------------------------------------------------------------------
 # feasibility screening
 
