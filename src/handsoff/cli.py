@@ -354,6 +354,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _solve_l1(dp, cfg_dca: DcaConfig):
+    """The plain l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1.
+
+    Its ``start`` (its optimal basis) starts every ``run_dca`` of a command,
+    so each run's result does not depend on the runs before it, and under
+    ``warm_start: "l1"`` each run's own l1 LP makes no pivots.
+    """
+    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta), tol=cfg_dca.lp_tol)
+
+
 def _baseline_row(sol, dp, problem, outdir, tols, with_certificate: bool):
     """The l1 row of the comparison table from the l1 LP's solution."""
     sol = checked_lp(sol, "the l1 baseline")
@@ -407,14 +417,11 @@ def cmd_compare(args) -> int:
     dp = build_discrete(problem, N)
     with_cert = _is_double_integrator(problem.system)
 
-    # The baseline's phase-1 basis starts every DCA run's LPs: all of them
-    # share the feasible set Phi z = -zeta.
     rows = []
     first_error = EXIT_OK
     start = None
     try:
-        sol = solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta),
-                       tol=cfg_dca.lp_tol)
+        sol = _solve_l1(dp, cfg_dca)
         start = sol.start
         rows.append(_baseline_row(sol, dp, problem, outdir, tols, with_cert))
     except HandsOffError as exc:
@@ -530,12 +537,11 @@ def cmd_oracle(args) -> int:
 
     tols = _certificate_tols(doc)
     runs = []
-    start = None  # the first run's phase-1 basis starts the later runs
+    start = _solve_l1(dp, cfg_dca).start
     for pen in penalties:
         entry: dict = {"penalty": penalty_label(pen), "status": "ok"}
         try:
             result = run_dca(dp, pen, cfg_dca, start)
-            start = result.lp_start
             entry.update({
                 "l0": result.l0,
                 "iterations": result.iterations,

@@ -8,7 +8,9 @@ LP with cost vector 1 - s; successive costs never increase.  The loop stops
 on a cost stall, a step stall, or the iteration cap, whichever fires first.
 Every LP of a run has the feasible set Phi z = -zeta, 0 <= z <= 1, so the
 simplex's phase 1 runs at most once per run, and not at all when the caller
-passes the basis of an earlier run.
+passes a basis of an earlier solve.  Each LP starts phase 2 from the basis
+the previous one ended on, so a step re-optimizes from the last vertex
+instead of walking back to it from the phase-1 basis.
 """
 
 from dataclasses import dataclass, field
@@ -127,7 +129,7 @@ class DcaResult:
     stop_reason: str
     feas_history: list[float] = field(default_factory=list)
     max_kkt_residual: float = 0.0
-    lp_start: LpStart | None = None  # phase-1 basis of dp's feasible set, for reuse
+    lp_start: LpStart | None = None  # the basis the run's last LP ended on, for reuse
 
 
 def split_control(u: ControlSignal) -> SplitControl:
@@ -192,11 +194,15 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
     the feasible box, i.e. the plain l1-optimal discretized control.
 
     Every LP of the run shares dp's feasible set, so phase 1 runs at most
-    once: the first LP finds the feasible basis and every later one starts
-    phase 2 from it.  ``start`` (an ``LpSolution.start`` for
-    ``Phi z = -zeta`` at ``cfg.lp_tol``) skips phase 1 altogether; the result
-    is the same with or without it.  The basis used is returned as
-    ``DcaResult.lp_start``.
+    once: the first LP finds a feasible basis and every later one starts
+    phase 2 from the basis the LP before it ended on.  ``start`` (an
+    ``LpSolution.start`` for ``Phi z = -zeta`` at ``cfg.lp_tol``) skips
+    phase 1 altogether and starts the first LP from it.  Each LP is optimal at
+    ``cfg.lp_tol`` either way, but on ties the start may select another
+    optimal vertex and so another run.  Under ``"l1"`` a start from the l1
+    LP's own optimum, such as the one ``compare`` passes, gives the same
+    result bit for bit as no start.  The basis the last LP ended on is
+    returned as ``DcaResult.lp_start``.
 
     Raises ``AssumptionViolationError`` for an inadmissible penalty,
     ``InfeasibleProblemError`` (with the phase-1 certificate) when no

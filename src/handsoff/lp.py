@@ -18,12 +18,17 @@ most-negative-reduced-cost with first-index tie-breaking, switching to
 Bland's smallest-index rule after a run of degenerate pivots, which makes the
 pivot sequence (and therefore the output bytes) reproducible.
 
-Phase 1 runs once per feasible set, not once per objective.  Its pricing
-never reads ``c``, so the feasible basis it ends on is the same for every
-objective over one ``(Aeq, beq, tol)``.  A solve that reaches that basis
-returns it as ``LpSolution.start``; passing it back as ``solve_lp(...,
-start=...)`` skips phase 1 and starts phase 2 from a copy of it, with a result
-bit for bit equal to a solve from scratch.
+Phase 1 runs once per feasible set, not once per objective.  A solve that
+reaches a feasible basis returns the basis it ended on as
+``LpSolution.start``: the optimal basis when phase 2 verifies, otherwise the
+basis phase 2 began from.  Either is primal feasible for ``(Aeq, beq)`` and a
+new cost never breaks primal feasibility, so passing it back as
+``solve_lp(..., start=...)`` skips phase 1 and starts phase 2 from a copy of
+it.  A chain of nearby objectives (the DC iteration) then re-optimizes from
+the previous optimum in a few pivots, and an objective re-solved from its own
+returned start makes none.  A warm solve is optimal at the same verified
+tolerance as a solve from scratch, but on ties it may return another optimal
+vertex.
 """
 
 from dataclasses import dataclass
@@ -63,12 +68,15 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpStart:
-    """The feasible phase-1 basis of the set ``Aeq @ z = beq, 0 <= z <= 1``
-    at tolerance ``tol``, reusable as the phase-2 start of any objective.
+    """The basis a solve over ``Aeq @ z = beq, 0 <= z <= 1`` at tolerance
+    ``tol`` ended on: primal feasible, so reusable as the phase-2 start of
+    any objective over that set.
 
     ``basis`` and ``status`` are the augmented problem's basis and bound
-    statuses (columns of Aeq, then one artificial per row).  Every array is
-    a private copy, and ``solve_lp`` copies them again before pivoting.
+    statuses (columns of Aeq, then one artificial per row).  ``Aeq`` and
+    ``beq`` are a private copy made when phase 1 ran, shared by every start
+    derived from it; nothing writes to any of the arrays, and ``solve_lp``
+    copies ``basis`` and ``status`` before pivoting.
     """
 
     Aeq: np.ndarray
@@ -89,9 +97,10 @@ class LpSolution:
     """Outcome of one ``solve_lp`` call.
 
     ``iterations`` counts the pivots made by this call: phase 1's (only when
-    it ran) plus phase 2's.  ``start`` is the phase-1 basis for reuse by later
-    objectives over the same feasible set; it is set whenever phase 1 reached
-    a feasible basis, even if phase 2 then failed, and is None otherwise.
+    it ran) plus phase 2's.  ``start`` is the basis this solve ended on, for
+    reuse by later objectives over the same feasible set: the optimal basis
+    when the solution verified, the basis phase 2 began from when it did not,
+    and None when phase 1 found no feasible basis.
     """
 
     z: np.ndarray
@@ -210,9 +219,11 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
 
     With ``start`` (the ``start`` of an earlier solution over the same
     ``Aeq``, ``beq`` and ``tol``) phase 1 is skipped and phase 2 begins from
-    that basis; the result equals a solve without it, bit for bit, apart from
-    ``iterations``.  A start built for another feasible set or tolerance
-    raises ``ParameterError``.
+    the basis that solve ended on.  The result is optimal at the same verified
+    tolerance as a solve without it, but on ties it may be another optimal
+    vertex; re-solving an objective from its own returned start makes no
+    pivots and returns the same ``z``.  A start built for another feasible set
+    or tolerance raises ``ParameterError``.
     """
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
@@ -263,6 +274,10 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
     z = x[:q].copy()
     eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
     kkt = kkt_residual(problem, z, duals)
-    status_final = OPTIMAL if (eq <= tol and kkt <= tol) else NUMERICAL_FAILURE
+    if eq <= tol and kkt <= tol:
+        status_final = OPTIMAL
+        start = LpStart(start.Aeq, start.beq, tol, start.phase1_value, basis, status)
+    else:
+        status_final = NUMERICAL_FAILURE
     return LpSolution(z, float(problem.c @ z), status_final, eq, kkt,
                       it1 + it2, duals.copy(), start.phase1_value, start)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,8 +293,75 @@ def test_oracle_runs_phase_1_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
     runs = json.loads((out / "oracle.json").read_text())["runs"]
-    assert len(starts) == sum(run["lp_solves"] for run in runs)
-    assert starts.count(None) == 1 and all(run["certificate"] == "pass" for run in runs)
+    assert len(starts) == 1 + sum(run["lp_solves"] for run in runs)  # the l1 LP up front
+    assert starts.count(None) == 1 and starts[0] is None
+    assert all(run["certificate"] == "pass" for run in runs)
+
+
+def test_compare_l1_warm_starts_make_no_pivots(tmp_path, monkeypatch):
+    # Every run starts from the baseline's l1-optimal basis, so its own l1
+    # LP re-solves the baseline's objective from its optimum.
+    import handsoff.cli
+    import handsoff.dca
+
+    calls = []
+    solve, run = handsoff.dca.solve_lp, handsoff.cli.run_dca
+
+    def recording_solve(problem, tol=1e-9, start=None):
+        sol = solve(problem, tol=tol, start=start)
+        calls.append(sol.iterations)
+        return sol
+
+    def marking_run(*args):
+        calls.append("run")
+        return run(*args)
+
+    monkeypatch.setattr(handsoff.dca, "solve_lp", recording_solve)
+    monkeypatch.setattr(handsoff.cli, "run_dca", marking_run)
+    # a damped three-state plant with two inputs; from its phase-1 basis the
+    # l1 LP takes pivots (on the double integrator it takes none)
+    plant = {"A": [[-0.3, -0.137, -0.383], [0.137, -0.3, -0.338], [0.383, 0.338, -0.3]],
+             "B": [[-1.265, -0.623], [0.041, -2.325], [-0.219, -1.246]]}
+    cfg = write_config(tmp_path, system=plant, x0=[-0.227, -0.169, -0.098], N=40, penalty=[
+        {"kind": "mcp", "lambda": 1.0, "alpha": 0.5},
+        {"kind": "scad", "lambda": 0.25, "alpha": 3.0},
+        {"kind": "l1l2", "lambda": 0.1},
+    ])
+    assert main(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+    firsts = [calls[i + 1] for i, c in enumerate(calls) if c == "run"]
+    assert firsts == [0, 0, 0]
+
+
+def without_wall_time(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["wall_time_s"]
+    return doc
+
+
+@pytest.mark.parametrize("config", ["double_integrator_fast.json", "planted_oracle.json"])
+def test_compare_and_oracle_rows_equal_solve(tmp_path, config):
+    # Under warm_start "l1" a row's result does not depend on the rows before it.
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / config)
+    doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+    assert doc["dca"]["warm_start"] == "l1"
+    cmp_out, orc_out = tmp_path / "compare", tmp_path / "oracle"
+    assert main(["compare", "--config", cfg, "--seed", "3", "--output", str(cmp_out)]) == 0
+    assert main(["oracle", "--config", cfg, "--seed", "3", "--output", str(orc_out)]) == 0
+    runs = json.loads((orc_out / "oracle.json").read_text(encoding="utf-8"))["runs"]
+    assert len(runs) == len(doc["penalty"])
+    for pen_doc, run in zip(doc["penalty"], runs):
+        label = penalty_label(penalty_from_mapping(pen_doc))
+        out = tmp_path / f"solve_{pen_doc['kind']}"
+        assert main(["solve", "--config", cfg, "--seed", "3", "--penalty", label,
+                     "--output", str(out)]) == 0
+        tag = pen_doc["kind"]
+        assert ((cmp_out / f"trajectory_{tag}.csv").read_bytes()
+                == (out / "trajectory.csv").read_bytes())
+        solo = without_wall_time(out / "summary.json")
+        assert without_wall_time(cmp_out / f"summary_{tag}.json") == solo
+        assert run["penalty"] == label and run["status"] == "ok"
+        assert {k: run[k] for k in ("l0", "iterations", "lp_solves", "bob_deviation")} == {
+            k: solo[k] for k in ("l0", "iterations", "lp_solves", "bob_deviation")}
 
 
 def test_compare_discretizes_once(tmp_path, monkeypatch):

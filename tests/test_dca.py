@@ -29,7 +29,7 @@ from handsoff.errors import (
 from handsoff.lp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, LpProblem, LpSolution, solve_lp
 from handsoff.oracle import brute_force_l0, make_exact_instance
 from handsoff.penalty import Penalty, equivalence_constant
-from handsoff.system import ControlProblem, build_discrete, double_integrator
+from handsoff.system import ControlProblem, LinearSystem, build_discrete, double_integrator
 
 from test_penalty import CATALOG
 
@@ -226,7 +226,7 @@ def test_result_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# one phase 1 per feasible set
+# one phase 1 per feasible set, each LP started from the last one's basis
 
 def assert_same(a, b):
     """Field-by-field equality, bit for bit, through nested dataclasses."""
@@ -260,13 +260,20 @@ def count_phase1(monkeypatch):
 @pytest.mark.parametrize("warm_start", ["zero", "l1"])
 @pytest.mark.parametrize("pen", CATALOG, ids=lambda p: p.kind)
 def test_passed_start_gives_the_same_result(pen, warm_start):
+    # The l1 LP's optimal basis, as compare and oracle pass it.  Under "l1"
+    # the fresh run's own l1 LP ends on that basis too, so the runs agree bit
+    # for bit; under "zero" the first LP may pick another tied vertex.
     dp = benchmark_dp(40)
     cfg = DcaConfig(warm_start=warm_start)
-    fresh = run_dca(dp, pen, cfg)
     start = solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta)).start
+    basis, status = start.basis.copy(), start.status.copy()
     shared = run_dca(dp, pen, cfg, start)
-    assert_same(shared, fresh)
-    assert shared.lp_start is start
+    if warm_start == "l1":
+        assert_same(shared, run_dca(dp, pen, cfg))
+    else:
+        assert shared.feas_residual <= 1e-8 and max(shared.feas_history) <= 1e-8
+        assert np.all(np.diff(shared.cost_history) <= 1e-9)
+    assert np.array_equal(start.basis, basis) and np.array_equal(start.status, status)
 
 
 def test_run_dca_runs_phase_1_once(monkeypatch):
@@ -276,6 +283,32 @@ def test_run_dca_runs_phase_1_once(monkeypatch):
     assert res.lp_solves >= 2 and len(calls) == 1
     run_dca(dp, Penalty("scad", 0.25, alpha=3.0), DcaConfig(warm_start="l1"), res.lp_start)
     assert len(calls) == 1
+
+
+def test_each_lp_starts_from_the_basis_the_last_one_ended_on(monkeypatch):
+    import handsoff.dca
+
+    calls = []
+    original = handsoff.dca.solve_lp
+
+    def recording(problem, tol=1e-9, start=None):
+        sol = original(problem, tol=tol, start=start)
+        calls.append((problem, start, sol.start))
+        return sol
+
+    monkeypatch.setattr(handsoff.dca, "solve_lp", recording)
+    rng = np.random.default_rng(0)  # a damped 3-state, 2-input plant: DCA takes 2 steps
+    S = rng.normal(size=(3, 3))
+    plant = LinearSystem((S - S.T) / np.sqrt(3) - 0.3 * np.eye(3), rng.normal(size=(3, 2)))
+    x0 = rng.normal(size=3)
+    dp = build_discrete(ControlProblem(plant, 0.3 * x0 / np.linalg.norm(x0), 5.0), 40)
+    res = run_dca(dp, Penalty("scad", 0.25, alpha=3.0), DcaConfig(warm_start="l1"))
+    assert len(calls) == res.lp_solves >= 3 and calls[0][1] is None
+    for (problem, _, ended_on), (_, passed, _) in zip(calls, calls[1:]):
+        # the previous LP's optimal basis: its own objective re-solves in 0 pivots
+        assert passed is ended_on
+        assert original(problem, start=passed).iterations == 0
+    assert res.lp_start is calls[-1][2]
 
 
 def test_start_for_another_problem_is_refused():

@@ -185,7 +185,7 @@ def test_tol_validation():
 
 
 # ---------------------------------------------------------------------------
-# phase 1 once per feasible set: solves from a shared start
+# phase 1 once per feasible set: each solve starts from the basis the last ended on
 
 def boxed_lp(seed, rows, cols, kind):
     """A random feasible set of the given kind: ``feasible`` (b from an
@@ -222,6 +222,10 @@ def assert_same_solution(a: LpSolution, b: LpSolution):
     assert a.phase1_value == b.phase1_value
 
 
+def is_vertex(z, rows):
+    return np.sum((z > 1e-7) & (z < 1.0 - 1e-7)) <= rows
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -230,6 +234,7 @@ def assert_same_solution(a: LpSolution, b: LpSolution):
     kind=st.sampled_from(["feasible", "degenerate", "infeasible"]),
 )
 def test_shared_start_matches_fresh_solves(seed, rows, extra, kind):
+    # A warm solve may pick another tied vertex, never a worse objective.
     A, b = boxed_lp(seed, rows, rows + extra, kind)
     costs = objectives(seed, rows + extra)
     first = solve_lp(LpProblem(costs[0], A, b))
@@ -238,18 +243,36 @@ def test_shared_start_matches_fresh_solves(seed, rows, extra, kind):
         return
     start = first.start
     assert start is not None
-    basis, status = start.basis.copy(), start.status.copy()
-    phase1_pivots = set()
     for c in costs:
         p = LpProblem(c, A, b)
         fresh = solve_lp(p)
-        shared = solve_lp(p, start=start)
-        assert_same_solution(shared, fresh)
-        assert shared.start is start
-        phase1_pivots.add(fresh.iterations - shared.iterations)
-    # phase 1 never reads c: it makes the same pivots for every objective
-    assert len(phase1_pivots) == 1 and min(phase1_pivots) >= 0
-    assert np.array_equal(start.basis, basis) and np.array_equal(start.status, status)
+        basis, status = start.basis.copy(), start.status.copy()
+        warm = solve_lp(p, start=start)
+        assert fresh.status == OPTIMAL and warm.status == OPTIMAL
+        assert abs(warm.objective - fresh.objective) <= 1e-9 * (1.0 + abs(fresh.objective))
+        assert warm.kkt_residual <= 1e-9 and warm.eq_residual <= 1e-9
+        assert is_vertex(warm.z, rows)
+        assert np.array_equal(start.basis, basis) and np.array_equal(start.status, status)
+        start = warm.start
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 3),
+    extra=st.integers(1, 6),
+    kind=st.sampled_from(["feasible", "degenerate"]),
+)
+def test_resolve_from_own_start_makes_no_pivots(seed, rows, extra, kind):
+    A, b = boxed_lp(seed, rows, rows + extra, kind)
+    start = None
+    for c in objectives(seed, rows + extra):
+        p = LpProblem(c, A, b)
+        sol = solve_lp(p, start=start)
+        again = solve_lp(p, start=sol.start)
+        assert again.iterations == 0
+        assert_same_solution(again, sol)
+        start = sol.start
 
 
 def test_shared_start_matches_enumeration():
@@ -264,8 +287,8 @@ def test_shared_start_matches_enumeration():
             assert sol.status == OPTIMAL, f"trial {trial}"
             assert sol.objective == pytest.approx(enumerate_optimum(c, A, b), abs=1e-9)
             assert sol.kkt_residual <= 1e-9
-            interior = np.sum((sol.z > 1e-7) & (sol.z < 1.0 - 1e-7))
-            assert interior <= rows, f"trial {trial}: not a vertex"
+            assert is_vertex(sol.z, rows), f"trial {trial}: not a vertex"
+            start = sol.start
 
 
 def test_start_for_another_feasible_set_is_refused():
