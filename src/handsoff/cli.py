@@ -283,9 +283,10 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def write_trajectory_csv(path, signal: ControlSignal, states: np.ndarray) -> None:
-    """Rows are grid points t = k*delta for k = 0..N; the control columns
-    carry N rows (blank in the terminal row), the state columns N + 1."""
+def trajectory_csv(signal: ControlSignal, states: np.ndarray) -> str:
+    """The trajectory file's text.  Rows are grid points t = k*delta for
+    k = 0..N; the control columns carry N rows (blank in the terminal row),
+    the state columns N + 1."""
     N, m = signal.N, signal.m
     n = states.shape[1]
     delta = float(signal.delta)
@@ -301,12 +302,15 @@ def write_trajectory_csv(path, signal: ControlSignal, states: np.ndarray) -> Non
     last = ",".join(["{:.17g}"] + [""] * m + ["{:.17g}"] * n)
     table = "\n".join([row] * N + [last]).format(*values)
     header = ",".join(["t"] + [f"u_{j + 1}" for j in range(m)] + [f"x_{i + 1}" for i in range(n)])
+    return ("# one row per grid point t = k*delta, k = 0..N; "
+            "u_* columns have N rows (blank at k = N), x_* columns have N+1 rows\n"
+            f"{header}\n{table}\n")
+
+
+def write_trajectory_csv(path, text: str) -> None:
+    """Write a trajectory file's text (from ``trajectory_csv``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# one row per grid point t = k*delta, k = 0..N; "
-                 "u_* columns have N rows (blank at k = N), x_* columns have N+1 rows\n")
-        fh.write(header + "\n")
-        fh.write(table)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,7 @@ def cmd_solve(args) -> int:
     result = run_dca(dp, pen, cfg_dca)
     wall = time.perf_counter() - t0
     states = simulate(dp, problem.x0, result.z_star.z)
-    write_trajectory_csv(outdir / "trajectory.csv", result.u_star, states)
+    write_trajectory_csv(outdir / "trajectory.csv", trajectory_csv(result.u_star, states))
     write_json(outdir / "summary.json", _run_summary(pen, result, dp, cfg_dca, args.seed, wall))
     print(f"solve: {penalty_label(pen)}  l0={result.l0:.6g}  "
           f"iterations={result.iterations}  lp_solves={result.lp_solves}  "
@@ -364,14 +368,14 @@ def _solve_l1(dp, cfg_dca: DcaConfig):
     return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta), tol=cfg_dca.lp_tol)
 
 
-def _baseline_row(sol, dp, problem, outdir, tols, with_certificate: bool):
+def _baseline_row(sol, dp, outdir, outputs):
     """The l1 row of the comparison table from the l1 LP's solution."""
     sol = checked_lp(sol, "the l1 baseline")
     z_star = SplitControl(dp.delta, dp.N, dp.m, np.clip(sol.z, 0.0, 1.0))
     u = recombine(z_star)
-    states = simulate(dp, problem.x0, sol.z)
-    write_trajectory_csv(outdir / "trajectory_l1.csv", u, states)
-    row = {
+    text, certificate = outputs(sol.z, u)
+    write_trajectory_csv(outdir / "trajectory_l1.csv", text)
+    return {
         "penalty": "l1",
         "status": "ok",
         "l0": l0_measure(u),
@@ -380,12 +384,8 @@ def _baseline_row(sol, dp, problem, outdir, tols, with_certificate: bool):
         "iterations": 1,
         "lp_solves": 1,
         "bob_deviation": bang_off_bang_deviation(u),
-        "certificate": "",
+        "certificate": certificate,
     }
-    if with_certificate:
-        rep = double_integrator_certificate(u, problem.x0, dp.N * dp.delta, tols, states=states)
-        row["certificate"] = "pass" if rep.passed else "fail"
-    return row
 
 
 def _comparison_table(path, rows) -> None:
@@ -416,6 +416,22 @@ def cmd_compare(args) -> int:
     outdir = _outdir(args, doc)
     dp = build_discrete(problem, N)
     with_cert = _is_double_integrator(problem.system)
+    shared: dict[bytes, tuple[str, np.ndarray]] = {}
+
+    def outputs(z, u):
+        """The trajectory CSV text and certificate verdict of the control
+        with split ``z`` and samples ``u``.  Rows whose controls are equal
+        bit for bit (often: many penalties stop at the l1 vertex) share one
+        simulate and one format."""
+        key = z.tobytes() + u.samples.tobytes()
+        if key not in shared:
+            states = simulate(dp, problem.x0, z)
+            shared[key] = trajectory_csv(u, states), states
+        text, states = shared[key]
+        if not with_cert:
+            return text, ""
+        rep = double_integrator_certificate(u, problem.x0, dp.N * dp.delta, tols, states=states)
+        return text, "pass" if rep.passed else "fail"
 
     rows = []
     first_error = EXIT_OK
@@ -423,7 +439,7 @@ def cmd_compare(args) -> int:
     try:
         sol = _solve_l1(dp, cfg_dca)
         start = sol.start
-        rows.append(_baseline_row(sol, dp, problem, outdir, tols, with_cert))
+        rows.append(_baseline_row(sol, dp, outdir, outputs))
     except HandsOffError as exc:
         outcome = _outcome(exc)
         rows.append({"penalty": "l1", "status": outcome.status})
@@ -441,8 +457,8 @@ def cmd_compare(args) -> int:
             t0 = time.perf_counter()
             result = run_dca(dp, pen, cfg_dca, start)
             wall = time.perf_counter() - t0
-            states = simulate(dp, problem.x0, result.z_star.z)
-            write_trajectory_csv(outdir / f"trajectory_{tag}.csv", result.u_star, states)
+            text, certificate = outputs(result.z_star.z, result.u_star)
+            write_trajectory_csv(outdir / f"trajectory_{tag}.csv", text)
             write_json(outdir / f"summary_{tag}.json",
                        _run_summary(pen, result, dp, cfg_dca, args.seed, wall))
             row.update({
@@ -452,11 +468,8 @@ def cmd_compare(args) -> int:
                 "iterations": result.iterations,
                 "lp_solves": result.lp_solves,
                 "bob_deviation": result.bob_deviation,
+                "certificate": certificate,
             })
-            if with_cert:
-                rep = double_integrator_certificate(
-                    result.u_star, problem.x0, dp.N * dp.delta, tols, states=states)
-                row["certificate"] = "pass" if rep.passed else "fail"
         except HandsOffError as exc:
             outcome = _outcome(exc)
             row["status"] = outcome.status

@@ -6,9 +6,9 @@ Problems have the fixed form
     subject to  Aeq @ z = beq,    0 <= z <= 1.
 
 The equality-row count equals the state dimension of the control problems
-this package builds (single digits), so the basis is refactorized from
-scratch at every pivot rather than updated; at that scale the dense solve is
-cheaper than bookkeeping.  Because every variable is boxed the problem is
+this package builds (single digits), so the basis is solved from scratch
+after every basis change rather than updated; at that scale the dense solve
+is cheaper than bookkeeping.  Because every variable is boxed the problem is
 never unbounded, and every optimum returned is a vertex: at most one basic
 variable per row sits strictly between its bounds.
 
@@ -17,6 +17,18 @@ positive optimum is returned as the infeasibility certificate.  Pricing is
 most-negative-reduced-cost with first-index tie-breaking, switching to
 Bland's smallest-index rule after a run of degenerate pivots, which makes the
 pivot sequence (and therefore the output bytes) reproducible.
+
+Most phase-1 pivots of the l1 LP are box flips: the entering column reaches
+its other bound before any basic variable reaches one of its own.  A flip
+leaves the basis, and so the duals and the entering order, unchanged, so one
+pricing pass serves a whole run of flips.  After a flip the pass goes on down
+the same order (by reduced cost with first-index ties, or by index under
+Bland's rule), solving for the next candidates in blocks of 8, 16, 32, ...
+and flipping each one that passes the same ratio test, until the first one
+that would change the basis; the next pass re-prices and pivots on that one.
+Apart from exact ratio ties, which the carried basic values may round
+otherwise than a fresh solve, the pivot sequence is the one that pricing
+before every flip would make.  Every flip counts as an iteration.
 
 Phase 1 runs once per feasible set, not once per objective.  A solve that
 reaches a feasible basis returns the basis it ended on as
@@ -96,8 +108,8 @@ class LpStart:
 class LpSolution:
     """Outcome of one ``solve_lp`` call.
 
-    ``iterations`` counts the pivots made by this call: phase 1's (only when
-    it ran) plus phase 2's.  ``start`` is the basis this solve ended on, for
+    ``iterations`` counts the pivots made by this call, each box flip as one:
+    phase 1's (only when it ran) plus phase 2's.  ``start`` is the basis this solve ended on, for
     reuse by later objectives over the same feasible set: the optimal basis
     when the solution verified, the basis phase 2 began from when it did not,
     and None when phase 1 found no feasible basis.
@@ -140,8 +152,62 @@ def kkt_residual(problem: LpProblem, z, duals, bound_window: float = 1e-6) -> fl
     return float(max(eq, box, viol.max(initial=0.0)))
 
 
+def _ratios(x_basic, dirw, blo, bup):
+    """Steps at which each basic variable reaches a bound when the entering
+    variable moves the basic values by ``-t * dirw`` from ``x_basic``; inf
+    where ``dirw`` does not reach one.  Rows of 2-D arguments are entering
+    columns, each with its own starting values."""
+    ratios = np.full(np.shape(dirw), np.inf)
+    np.divide(x_basic - blo, dirw, out=ratios, where=dirw > _PIVOT_TOL)
+    np.divide(bup - x_basic, -dirw, out=ratios, where=dirw < -_PIVOT_TOL)
+    return np.maximum(ratios, 0.0)
+
+
+def _flip_run(A, B, lower, upper, basis, status, order, x_basic, budget):
+    """Flip the leading columns of ``order`` that the ratio test sends to
+    their other bound, at most ``budget`` of them; return how many flipped.
+
+    Flips leave the basis, and so the duals and the entering order, as they
+    were, so the run needs no pricing.  Columns are solved for in blocks of
+    8, 16, 32, ...; within a block each flip is tested against the basic
+    values the flips before it leave behind.  The run stops before the first
+    column that would change the basis or make a degenerate step.  Blocks
+    start small because on plants with many rows most runs are a flip or
+    two, and solving for columns past the run's end is wasted.
+    """
+    blo, bup = lower[basis], upper[basis]
+    flips, size = 0, 8
+    while flips < min(order.size, budget):
+        J = order[flips:flips + min(size, budget - flips)]
+        D = np.linalg.solve(B, A[:, J]).T  # row i: column J[i]'s direction
+        D[status[J] == _UPPER] *= -1.0
+        t_flip = upper[J] - lower[J]
+        moved = np.cumsum(D * t_flip[:, None], axis=0)
+        before = x_basic - np.vstack([np.zeros_like(x_basic), moved[:-1]])
+        t_basic = _ratios(before, D, blo, bup).min(axis=1, initial=np.inf)
+        passes = (t_flip <= t_basic) & (t_flip > _DEGEN_TOL)
+        k = int(np.argmin(passes)) if not passes.all() else J.size
+        status[J[:k]] = np.where(status[J[:k]] == _LOWER, _UPPER, _LOWER)
+        flips += k
+        if k < J.size:
+            break
+        x_basic = x_basic - moved[-1]
+        size *= 2
+    return flips
+
+
 def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
     """Pivot the current basis to optimality for objective c.
+
+    Each pass solves for the basic values and the duals from scratch, prices
+    every column and enters the one with the most negative reduced cost,
+    first index on ties (Bland's smallest index after a run of degenerate
+    pivots).  When that column's box is shorter than the ratio test's step it
+    flips to its other bound, and the pass goes on down the same entering
+    order (``_flip_run``), flipping every further column that the ratio test
+    sends to its other bound.  The first column that would change the basis
+    is left to the next pass, which re-prices and pivots on it.  Each flip
+    counts as one iteration.
 
     Mutates ``basis`` and ``status`` in place.  Returns
     ``(outcome, x, duals, iterations)`` with outcome one of ``"optimal"``,
@@ -180,17 +246,11 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
         from_lower = status[j] == _LOWER
         w = np.linalg.solve(B, A[:, j])
         dirw = w if from_lower else -w  # basic values move by -t * dirw
-        ratios = np.full(n, np.inf)
-        blo = lower[basis]
-        bup = upper[basis]
-        pos = dirw > _PIVOT_TOL
-        neg = dirw < -_PIVOT_TOL
-        ratios[pos] = (x_basic[pos] - blo[pos]) / dirw[pos]
-        ratios[neg] = (bup[neg] - x_basic[neg]) / (-dirw[neg])
-        ratios = np.maximum(ratios, 0.0)
+        ratios = _ratios(x_basic, dirw, lower[basis], upper[basis])
         t_basic = float(ratios.min()) if n else np.inf
         t_box = upper[j] - lower[j]
-        if t_box <= t_basic:
+        flipped = t_box <= t_basic
+        if flipped:
             status[j] = _UPPER if from_lower else _LOWER
             step = t_box
         else:
@@ -207,6 +267,14 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
             degen_run += 1
             if degen_run >= bland_after:
                 bland = True
+        if flipped and t_box > _DEGEN_TOL:
+            # the duals, and so the entering order, are as they were
+            cand[j] = False
+            order = np.flatnonzero(cand)
+            if not bland:
+                order = order[np.argsort(-np.abs(d[order]), kind="stable")]
+            iters += _flip_run(A, B, lower, upper, basis, status, order,
+                               x_basic - t_box * dirw, max_iter - iters)
 
 
 def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None) -> LpSolution:

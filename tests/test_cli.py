@@ -412,7 +412,10 @@ def test_compare_simulates_each_solved_row_once(tmp_path, monkeypatch):
     rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
     assert [row[1] for row in rows] == ["ok", "ok", "ok", "assumption_violated"]
     assert [row[-1] for row in rows[:3]] == ["pass"] * 3
-    assert calls == [40] * 3
+    # the l1l2 and scad rows end on the same control and share one simulate
+    files = [(out / f"trajectory_{tag}.csv").read_bytes() for tag in ("l1", "l1l2", "scad")]
+    assert files[1] == files[2] != files[0]
+    assert calls == [40] * 2
 
 
 def test_oracle_certificate_mode_simulates_each_run_once(tmp_path, monkeypatch):
@@ -426,6 +429,68 @@ def test_oracle_certificate_mode_simulates_each_run_once(tmp_path, monkeypatch):
     runs = json.loads((out / "oracle.json").read_text())["runs"]
     assert [run["certificate"] for run in runs] == ["pass", "pass"]
     assert calls == [100] * 2
+
+
+def test_compare_rows_with_equal_controls_share_one_trajectory(tmp_path, monkeypatch):
+    import handsoff.cli
+
+    controls = {}  # tag -> the split control a row's trajectory comes from
+    solve_l1, run_dca = handsoff.cli._solve_l1, handsoff.cli.run_dca
+
+    def recording_l1(dp, cfg):
+        sol = solve_l1(dp, cfg)
+        controls["l1"] = sol.z
+        return sol
+
+    def recording_run(dp, pen, cfg, start):
+        result = run_dca(dp, pen, cfg, start)
+        controls[pen.kind] = result.z_star.z
+        return result
+
+    formatted = []
+    trajectory_csv = handsoff.cli.trajectory_csv
+
+    def counting(signal, states):
+        formatted.append(signal)
+        return trajectory_csv(signal, states)
+
+    monkeypatch.setattr(handsoff.cli, "_solve_l1", recording_l1)
+    monkeypatch.setattr(handsoff.cli, "run_dca", recording_run)
+    monkeypatch.setattr(handsoff.cli, "trajectory_csv", counting)
+    calls = count_simulate_calls(monkeypatch)
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "double_integrator.json")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
+
+    files = {tag: (out / f"trajectory_{tag}.csv").read_bytes() for tag in controls}
+    assert len(files) == 7
+    for a in controls:
+        for b in controls:
+            if np.array_equal(controls[a], controls[b]):
+                assert files[a] == files[b], (a, b)
+    distinct = {z.tobytes() for z in controls.values()}
+    assert len(formatted) == len(calls) == len(distinct) == 2
+
+    # the table as each row computed on its own gave it
+    rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()]
+    assert rows[0] == ["penalty", "status", "l0", "J_d", "c", "iterations", "lp_solves",
+                       "bob_deviation", "certificate"]
+    expected = [
+        ("l1", "", "1", 200.0, 7.12e-12),
+        ("lp lambda=0.8 p=0.5", "0.80000000000000004", "2", 160.00000213, 7.09e-12),
+        ("mcp lambda=1.0 alpha=0.5", "0.25", "2", 50.0, 7.09e-12),
+        ("scad lambda=0.25 alpha=3.0", "0.125", "2", 25.0, 7.09e-12),
+        ("lsp lambda=0.007238240841133117 alpha=1e-06", "0.099999999999999978", "2",
+         20.0000000513, 7.09e-12),
+        ("capped_l1 lambda=0.8 alpha=0.5", "0.40000000000000002", "2", 80.0, 7.09e-12),
+        ("l1l2 lambda=0.1", "0.90000000000000002", "2", 180.0, 7.09e-12),
+    ]
+    assert len(rows) == 1 + len(expected)
+    for row, (penalty, c, lp_solves, j_d, bob) in zip(rows[1:], expected):
+        assert [row[0], row[1], row[2], row[4], row[5], row[6], row[8]] == [
+            penalty, "ok", "1", c, "1", lp_solves, "pass"]
+        assert float(row[3]) == pytest.approx(j_d, rel=1e-10)
+        assert float(row[7]) == pytest.approx(bob, abs=1e-13)
 
 
 ERROR_OUTCOMES = [
@@ -487,7 +552,7 @@ def legacy_trajectory_csv(signal, states) -> str:
 
 @pytest.mark.parametrize("delta", [5.0 / 4000, np.float64(0.1), 1.0])
 def test_trajectory_csv_bytes_match_per_cell_formatting(tmp_path, delta):
-    from handsoff.cli import write_trajectory_csv
+    from handsoff.cli import trajectory_csv, write_trajectory_csv
     from handsoff.dca import ControlSignal
 
     tiny = 5e-324
@@ -503,12 +568,12 @@ def test_trajectory_csv_bytes_match_per_cell_formatting(tmp_path, delta):
     ])
     signal = ControlSignal(delta, samples)
     path = tmp_path / "t.csv"
-    write_trajectory_csv(path, signal, states)
+    write_trajectory_csv(path, trajectory_csv(signal, states))
     assert path.read_bytes() == legacy_trajectory_csv(signal, states).encode("utf-8")
 
 
 def test_trajectory_csv_bytes_match_on_a_long_random_trajectory(tmp_path):
-    from handsoff.cli import write_trajectory_csv
+    from handsoff.cli import trajectory_csv, write_trajectory_csv
     from handsoff.dca import ControlSignal
 
     rng = np.random.default_rng(3)
@@ -518,7 +583,7 @@ def test_trajectory_csv_bytes_match_on_a_long_random_trajectory(tmp_path):
     states[::7] = np.round(states[::7])
     signal = ControlSignal(7.0 / N, samples)
     path = tmp_path / "t.csv"
-    write_trajectory_csv(path, signal, states)
+    write_trajectory_csv(path, trajectory_csv(signal, states))
     assert path.read_bytes() == legacy_trajectory_csv(signal, states).encode("utf-8")
 
 

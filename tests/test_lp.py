@@ -6,14 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from handsoff.errors import DimensionError, DomainError, ParameterError
 from handsoff.lp import (
+    _BASIC,
+    _LOWER,
+    _UPPER,
     INFEASIBLE,
     NUMERICAL_FAILURE,
     OPTIMAL,
     LpProblem,
     LpSolution,
+    _simplex,
     kkt_residual,
     solve_lp,
 )
+from handsoff.system import ControlProblem, LinearSystem, build_discrete
 
 
 def enumerate_optimum(c, A, b, tol=1e-9):
@@ -316,3 +321,105 @@ def test_start_survives_a_failed_phase_2():
     assert sol.start is not None
     p = LpProblem(-np.ones(5), A, b)
     assert_same_solution(solve_lp(p, tol=1e-300, start=sol.start), solve_lp(p, tol=1e-300))
+
+
+# ---------------------------------------------------------------------------
+# box flips: a run of flips shares one pricing pass
+
+@pytest.mark.parametrize("N, iterations, basis, upper_runs", [
+    (1000, 201, [350, 1950], [(0, 350), (1952, 2000)]),
+    (4000, 803, [0, 7800], [(2, 1402), (7802, 8000)]),
+])
+def test_double_integrator_l1_lp_path(N, iterations, basis, upper_runs):
+    # Nearly every pivot of this LP is a box flip, in a few long runs; the
+    # counts and the final basis are those of pricing before every flip.
+    system = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+    dp = build_discrete(ControlProblem(system, np.array([1.0, -1.0]), 5.0), N)
+    sol = solve_lp(LpProblem(np.ones(2 * N), dp.Phi, -dp.zeta))
+    assert sol.status == OPTIMAL
+    assert sol.iterations == iterations
+    status = np.full(2 * N + 2, _LOWER, dtype=np.int8)
+    for lo, hi in upper_runs:
+        status[lo:hi:2] = _UPPER
+    status[basis] = _BASIC
+    assert np.array_equal(sol.start.basis, basis)
+    assert np.array_equal(sol.start.status, status)
+
+
+def flip_heavy_lp(seed, rows, cols, scale, shift):
+    """Small coefficients beside a unit column per row, so entering columns
+    often reach their other bound before any basic variable does; a cost
+    shifted below zero makes most columns want to enter."""
+    rng = np.random.default_rng(seed)
+    A = scale * rng.uniform(-1.0, 1.0, size=(rows, cols))
+    A[:, :rows] += np.eye(rows)
+    z = rng.integers(0, 2, size=cols).astype(float)
+    z[:rows] = 0.5
+    return LpProblem(rng.normal(size=cols) - shift, A, A @ z)
+
+
+def assert_optimal_vertex(sol, p):
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(enumerate_optimum(p.c, p.Aeq, p.beq), abs=1e-9)
+    assert sol.kkt_residual <= 1e-9 and sol.eq_residual <= 1e-9
+    assert is_vertex(sol.z, p.Aeq.shape[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 2),
+    cols=st.integers(3, 12),
+    scale=st.sampled_from([0.01, 0.2, 1.0]),
+    shift=st.sampled_from([0.0, 1.5]),
+)
+def test_flip_heavy_lps_match_enumeration(seed, rows, cols, scale, shift):
+    p = flip_heavy_lp(seed, rows, cols, scale, shift)
+    sol = solve_lp(p)
+    assert_optimal_vertex(sol, p)
+    assert_optimal_vertex(solve_lp(LpProblem(-p.c, p.Aeq, p.beq), start=sol.start),
+                          LpProblem(-p.c, p.Aeq, p.beq))
+
+
+def test_flip_runs_cross_block_boundaries(monkeypatch):
+    # Runs that stop inside the first block of 8, that fill it and stop on
+    # the next column, and that go on into the block of 16.
+    import handsoff.lp
+
+    runs = []
+    original = handsoff.lp._flip_run
+
+    def recording(*args):
+        runs.append(original(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(handsoff.lp, "_flip_run", recording)
+    for seed in range(40):
+        for rows in (1, 2):
+            p = flip_heavy_lp(seed, rows, 12, 0.2, 1.5)
+            assert_optimal_vertex(solve_lp(p), p)
+    assert {0, 1, 7, 8, 9, 10} <= set(runs)
+
+
+@pytest.mark.parametrize("max_iter, outcome", [
+    (1, "iteration_limit"), (5, "iteration_limit"), (9, "iteration_limit"),
+    (10, "iteration_limit"), (11, "optimal"), (50, "optimal"),
+])
+def test_iteration_limit_cuts_a_flip_run(max_iter, outcome):
+    # One basic unit column and eleven columns of 0.01 that all price in with
+    # equal reduced costs: eleven flips in one run, no basis change.
+    q = 12
+    A = np.full((1, q), 0.01)
+    A[0, 0] = 1.0
+    c = -np.ones(q)
+    c[0] = 0.0
+    basis = np.array([0])
+    status = np.full(q, _LOWER, dtype=np.int8)
+    status[0] = _BASIC
+    out, x, duals, iters = _simplex(A, np.array([0.5]), c, np.zeros(q), np.ones(q),
+                                    basis, status, 1e-10, max_iter)
+    flips = min(max_iter, 11)
+    assert (out, iters) == (outcome, flips)
+    assert np.array_equal(basis, [0])
+    assert np.flatnonzero(status == _UPPER).tolist() == list(range(1, 1 + flips))
+    assert x[0] == pytest.approx(0.5 - 0.01 * flips, abs=1e-15)
