@@ -14,10 +14,10 @@ field in summaries.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,7 +48,14 @@ from .oracle import (
     make_exact_instance,
 )
 from .penalty import KINDS, Penalty, equivalence_constant, validate_assumption
-from .system import ControlProblem, LinearSystem, build_discrete, simulate
+from .system import (
+    ControlProblem,
+    DiscreteProblem,
+    LinearSystem,
+    build_discrete,
+    double_integrator,
+    simulate,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -131,44 +138,20 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _system_from_config(doc: dict) -> LinearSystem:
-    sysdoc = _require(doc, "system")
-    if not isinstance(sysdoc, dict) or "A" not in sysdoc or "B" not in sysdoc:
-        raise ConfigError("config key 'system' must be a mapping with 'A' and 'B'")
-    try:
-        return LinearSystem(np.asarray(sysdoc["A"], dtype=float),
-                            np.asarray(sysdoc["B"], dtype=float))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad system matrices: {exc}") from exc
-
-
-def _horizon_from_config(doc: dict) -> tuple[float, int]:
-    try:
-        T = float(_require(doc, "T"))
-        N = int(_require(doc, "N"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"T must be a number and N an integer: {exc}") from exc
-    if N < 1:
-        raise ConfigError(f"N must be at least 1, got {N}")
-    return T, N
-
-
-def _dca_from_config(doc: dict, warm_start_flag: str | None) -> DcaConfig:
-    sub = doc.get("dca", {})
+def _dataclass_from_config(doc: dict, key: str, cls, **flags):
+    """``cls`` from the optional mapping ``doc[key]``, whose keys must be
+    fields of ``cls``; the ``flags`` that are not None override it."""
+    sub = doc.get(key, {})
     if not isinstance(sub, dict):
-        raise ConfigError("config key 'dca' must be a mapping")
-    allowed = {"cost_tol", "step_tol", "max_iter", "lp_tol", "l0_threshold",
-               "lp_epsilon", "warm_start"}
-    unknown = set(sub) - allowed
+        raise ConfigError(f"config key {key!r} must be a mapping")
+    unknown = set(sub) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown dca fields {sorted(unknown)}")
-    kwargs = dict(sub)
-    if warm_start_flag is not None:
-        kwargs["warm_start"] = warm_start_flag
+        raise ConfigError(f"unknown {key} fields {sorted(unknown)}")
+    kwargs = {**sub, **{k: v for k, v in flags.items() if v is not None}}
     try:
-        return DcaConfig(**kwargs)
+        return cls(**kwargs)
     except TypeError as exc:
-        raise ConfigError(f"bad dca config: {exc}") from exc
+        raise ConfigError(f"bad {key} config: {exc}") from exc
 
 
 def _penalties_from_config(doc: dict, inline: str | None, *, want_list: bool):
@@ -217,8 +200,23 @@ def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
 
 
 def _problem_from_config(doc: dict, seed: int | None) -> tuple[ControlProblem, int, ControlSignal | None]:
-    system = _system_from_config(doc)
-    T, N = _horizon_from_config(doc)
+    """The problem, N, and the planted signal (None without one), read in
+    the order system, T and N, planted signal or x0."""
+    sysdoc = _require(doc, "system")
+    if not isinstance(sysdoc, dict) or "A" not in sysdoc or "B" not in sysdoc:
+        raise ConfigError("config key 'system' must be a mapping with 'A' and 'B'")
+    try:
+        system = LinearSystem(np.asarray(sysdoc["A"], dtype=float),
+                              np.asarray(sysdoc["B"], dtype=float))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad system matrices: {exc}") from exc
+    try:
+        T = float(_require(doc, "T"))
+        N = int(_require(doc, "N"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"T must be a number and N an integer: {exc}") from exc
+    if N < 1:
+        raise ConfigError(f"N must be at least 1, got {N}")
     planted = _planted_from_config(doc, system, T, N, seed)
     if planted is not None:
         return make_exact_instance(system, T, N, planted), N, planted
@@ -230,28 +228,9 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[ControlProblem, i
     return problem, N, None
 
 
-def _certificate_tols(doc: dict) -> CertificateTolerances:
-    sub = doc.get("certificate", {})
-    if not isinstance(sub, dict):
-        raise ConfigError("config key 'certificate' must be a mapping")
-    allowed = {"value", "l0", "dblint", "terminal", "support_threshold",
-               "edge_window", "per_edge"}
-    unknown = set(sub) - allowed
-    if unknown:
-        raise ConfigError(f"unknown certificate fields {sorted(unknown)}")
-    try:
-        return CertificateTolerances(**sub)
-    except TypeError as exc:
-        raise ConfigError(f"bad certificate config: {exc}") from exc
-
-
 def _is_double_integrator(system: LinearSystem) -> bool:
-    return (
-        system.n == 2
-        and system.m == 1
-        and np.array_equal(system.A, [[0.0, 1.0], [0.0, 0.0]])
-        and np.array_equal(system.B, [[0.0], [1.0]])
-    )
+    plant = double_integrator()
+    return np.array_equal(system.A, plant.A) and np.array_equal(system.B, plant.B)
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +240,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool subclasses int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_text(obj) -> str:
+    # json knows neither numpy scalars nor arrays; tolist() gives Python values
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda x: x.tolist())
 
 
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(obj) + "\n")
 
 
 def trajectory_csv(signal: ControlSignal, states: np.ndarray) -> str:
@@ -316,8 +283,83 @@ def write_trajectory_csv(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _run_summary(pen: Penalty, result, dp, cfg_dca: DcaConfig, seed, wall: float) -> dict:
-    return {
+class Case(NamedTuple):
+    """What a command reads from its config, and the problem discretized once."""
+
+    doc: dict
+    problem: ControlProblem
+    planted: ControlSignal | None
+    penalties: Penalty | list[Penalty]
+    cfg: DcaConfig
+    tols: CertificateTolerances | None
+    outdir: Path
+    dp: DiscreteProblem
+
+
+def _case(args, *, single: bool, tols: bool = False) -> Case:
+    """Read the config in a fixed order, so a config with several faults
+    reports the same one each time.  ``single``: one penalty, not a list.
+    ``tols``: read the certificate tolerances before making the output
+    directory (``compare``; ``oracle`` reads them after its size check)."""
+    doc = load_config(args.config)
+    problem, N, planted = _problem_from_config(doc, args.seed)
+    penalties = _penalties_from_config(doc, args.penalty, want_list=not single)
+    cfg = _dataclass_from_config(doc, "dca", DcaConfig, warm_start=args.warm_start)
+    certificate = _dataclass_from_config(doc, "certificate", CertificateTolerances) if tols else None
+    outdir = _outdir(args, doc)
+    return Case(doc, problem, planted, penalties, cfg, certificate, outdir,
+                build_discrete(problem, N))
+
+
+def _outputs(case: Case, tols: CertificateTolerances | None):
+    """``outputs(z, u, text=True)`` -> (trajectory text or None, certificate
+    report or None) of the control with split ``z`` and samples ``u``.  The
+    certificate runs on each call, given ``tols`` and the double integrator.
+    Simulate and format run once per distinct control (bit for bit): many
+    penalties often stop at one vertex."""
+    dp, x0 = case.dp, case.problem.x0
+    certify = tols is not None and _is_double_integrator(case.problem.system)
+    shared: dict[bytes, list] = {}
+
+    def outputs(z, u, text=True):
+        entry = shared.setdefault(z.tobytes() + u.samples.tobytes(), [None, None])
+        if entry[0] is None:
+            entry[0] = simulate(dp, x0, z)
+        if text and entry[1] is None:
+            entry[1] = trajectory_csv(u, entry[0])
+        if not certify:
+            return entry[1], None
+        return entry[1], double_integrator_certificate(u, x0, dp.N * dp.delta, tols,
+                                                       states=entry[0])
+
+    return outputs
+
+
+def _verdict(report) -> str:
+    return "" if report is None else "pass" if report.passed else "fail"
+
+
+def _attempt(label: str, fn) -> tuple[dict, int]:
+    """``({"status": "ok", **fn()}, EXIT_OK)``; if ``fn`` raises a package
+    error, its row status and exit code instead, and "<label> failed: ..."
+    on stderr."""
+    try:
+        return {"status": "ok", **fn()}, EXIT_OK
+    except HandsOffError as exc:
+        outcome = _outcome(exc)
+        print(f"{label} failed: {exc}", file=sys.stderr)
+        return {"status": outcome.status}, outcome.exit_code
+
+
+def _solve_and_write(case: Case, outputs, pen: Penalty, start, suffix: str, seed):
+    """Run the DC iteration for ``pen`` and write trajectory<suffix>.csv and
+    summary<suffix>.json; returns the result and the certificate report."""
+    t0 = time.perf_counter()
+    result = run_dca(case.dp, pen, case.cfg, start)
+    wall = time.perf_counter() - t0
+    text, report = outputs(result.z_star.z, result.u_star)
+    write_trajectory_csv(case.outdir / f"trajectory{suffix}.csv", text)
+    write_json(case.outdir / f"summary{suffix}.json", {
         "penalty": penalty_label(pen),
         "kind": pen.kind,
         "iterations": result.iterations,
@@ -330,31 +372,23 @@ def _run_summary(pen: Penalty, result, dp, cfg_dca: DcaConfig, seed, wall: float
         "stop_reason": result.stop_reason,
         "max_kkt_residual": result.max_kkt_residual,
         "equivalence_constant": equivalence_constant(pen),
-        "N": dp.N,
-        "delta": dp.delta,
-        "warm_start": cfg_dca.warm_start,
+        "N": case.dp.N,
+        "delta": case.dp.delta,
+        "warm_start": case.cfg.warm_start,
         "seed": seed,
         "wall_time_s": wall,
-    }
+    })
+    return result, report
 
 
 def cmd_solve(args) -> int:
-    doc = load_config(args.config)
-    problem, N, _ = _problem_from_config(doc, args.seed)
-    pen = _penalties_from_config(doc, args.penalty, want_list=False)
-    cfg_dca = _dca_from_config(doc, args.warm_start)
-    outdir = _outdir(args, doc)
-    dp = build_discrete(problem, N)
-    t0 = time.perf_counter()
-    result = run_dca(dp, pen, cfg_dca)
-    wall = time.perf_counter() - t0
-    states = simulate(dp, problem.x0, result.z_star.z)
-    write_trajectory_csv(outdir / "trajectory.csv", trajectory_csv(result.u_star, states))
-    write_json(outdir / "summary.json", _run_summary(pen, result, dp, cfg_dca, args.seed, wall))
+    case = _case(args, single=True)
+    pen = case.penalties
+    result, _ = _solve_and_write(case, _outputs(case, None), pen, None, "", args.seed)
     print(f"solve: {penalty_label(pen)}  l0={result.l0:.6g}  "
           f"iterations={result.iterations}  lp_solves={result.lp_solves}  "
           f"stop={result.stop_reason}")
-    print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'summary.json'}")
+    print(f"wrote {case.outdir / 'trajectory.csv'} and {case.outdir / 'summary.json'}")
     return EXIT_OK
 
 
@@ -368,122 +402,56 @@ def _solve_l1(dp, cfg_dca: DcaConfig):
     return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta), tol=cfg_dca.lp_tol)
 
 
-def _baseline_row(sol, dp, outdir, outputs):
-    """The l1 row of the comparison table from the l1 LP's solution."""
-    sol = checked_lp(sol, "the l1 baseline")
-    z_star = SplitControl(dp.delta, dp.N, dp.m, np.clip(sol.z, 0.0, 1.0))
-    u = recombine(z_star)
-    text, certificate = outputs(sol.z, u)
-    write_trajectory_csv(outdir / "trajectory_l1.csv", text)
-    return {
-        "penalty": "l1",
-        "status": "ok",
-        "l0": l0_measure(u),
-        "J_d": sol.objective,
-        "c": "",
-        "iterations": 1,
-        "lp_solves": 1,
-        "bob_deviation": bang_off_bang_deviation(u),
-        "certificate": certificate,
-    }
-
-
 def _comparison_table(path, rows) -> None:
     cols = ["penalty", "status", "l0", "J_d", "c", "iterations", "lp_solves",
             "bob_deviation", "certificate"]
     lines = [",".join(cols)]
     for row in rows:
-        cells = []
-        for col in cols:
-            val = row.get(col, "")
-            if isinstance(val, (int, np.integer)):
-                cells.append(str(int(val)))
-            elif isinstance(val, (float, np.floating)):
-                cells.append(_fmt(val))
-            else:
-                cells.append(str(val))
-        lines.append(",".join(cells))
+        cells = (row.get(col, "") for col in cols)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def cmd_compare(args) -> int:
-    doc = load_config(args.config)
-    problem, N, _ = _problem_from_config(doc, args.seed)
-    penalties = _penalties_from_config(doc, args.penalty, want_list=True)
-    cfg_dca = _dca_from_config(doc, args.warm_start)
-    tols = _certificate_tols(doc)
-    outdir = _outdir(args, doc)
-    dp = build_discrete(problem, N)
-    with_cert = _is_double_integrator(problem.system)
-    shared: dict[bytes, tuple[str, np.ndarray]] = {}
+    case = _case(args, single=False, tols=True)
+    dp = case.dp
+    outputs = _outputs(case, case.tols)
+    l1 = _solve_l1(dp, case.cfg)
 
-    def outputs(z, u):
-        """The trajectory CSV text and certificate verdict of the control
-        with split ``z`` and samples ``u``.  Rows whose controls are equal
-        bit for bit (often: many penalties stop at the l1 vertex) share one
-        simulate and one format."""
-        key = z.tobytes() + u.samples.tobytes()
-        if key not in shared:
-            states = simulate(dp, problem.x0, z)
-            shared[key] = trajectory_csv(u, states), states
-        text, states = shared[key]
-        if not with_cert:
-            return text, ""
-        rep = double_integrator_certificate(u, problem.x0, dp.N * dp.delta, tols, states=states)
-        return text, "pass" if rep.passed else "fail"
+    def baseline():
+        sol = checked_lp(l1, "the l1 baseline")
+        u = recombine(SplitControl(dp.delta, dp.N, dp.m, np.clip(sol.z, 0.0, 1.0)))
+        text, report = outputs(sol.z, u)
+        write_trajectory_csv(case.outdir / "trajectory_l1.csv", text)
+        return {"l0": l0_measure(u), "J_d": sol.objective, "c": "", "iterations": 1,
+                "lp_solves": 1, "bob_deviation": bang_off_bang_deviation(u),
+                "certificate": _verdict(report)}
 
-    rows = []
-    first_error = EXIT_OK
-    start = None
-    try:
-        sol = _solve_l1(dp, cfg_dca)
-        start = sol.start
-        rows.append(_baseline_row(sol, dp, outdir, outputs))
-    except HandsOffError as exc:
-        outcome = _outcome(exc)
-        rows.append({"penalty": "l1", "status": outcome.status})
-        first_error = first_error or outcome.exit_code
-        print(f"l1 baseline failed: {exc}", file=sys.stderr)
+    def row(pen, tag):
+        result, report = _solve_and_write(case, outputs, pen, l1.start, f"_{tag}", args.seed)
+        return {"l0": result.l0, "J_d": result.cost_history[-1],
+                "c": equivalence_constant(pen), "iterations": result.iterations,
+                "lp_solves": result.lp_solves, "bob_deviation": result.bob_deviation,
+                "certificate": _verdict(report)}
 
+    fields, first_error = _attempt("l1 baseline", baseline)
+    rows = [{"penalty": "l1", **fields}]
     seen: dict[str, int] = {}
-    for pen in penalties:
-        tag = pen.kind
-        seen[tag] = seen.get(tag, 0) + 1
-        if seen[tag] > 1:
-            tag = f"{tag}_{seen[pen.kind]}"
-        row = {"penalty": penalty_label(pen), "status": "ok", "certificate": ""}
-        try:
-            t0 = time.perf_counter()
-            result = run_dca(dp, pen, cfg_dca, start)
-            wall = time.perf_counter() - t0
-            text, certificate = outputs(result.z_star.z, result.u_star)
-            write_trajectory_csv(outdir / f"trajectory_{tag}.csv", text)
-            write_json(outdir / f"summary_{tag}.json",
-                       _run_summary(pen, result, dp, cfg_dca, args.seed, wall))
-            row.update({
-                "l0": result.l0,
-                "J_d": result.cost_history[-1],
-                "c": equivalence_constant(pen),
-                "iterations": result.iterations,
-                "lp_solves": result.lp_solves,
-                "bob_deviation": result.bob_deviation,
-                "certificate": certificate,
-            })
-        except HandsOffError as exc:
-            outcome = _outcome(exc)
-            row["status"] = outcome.status
-            first_error = first_error or outcome.exit_code
-            print(f"{penalty_label(pen)} failed: {exc}", file=sys.stderr)
-        rows.append(row)
+    for pen in case.penalties:
+        seen[pen.kind] = seen.get(pen.kind, 0) + 1
+        tag = pen.kind if seen[pen.kind] == 1 else f"{pen.kind}_{seen[pen.kind]}"
+        fields, code = _attempt(penalty_label(pen), lambda: row(pen, tag))
+        rows.append({"penalty": penalty_label(pen), **fields})
+        first_error = first_error or code
 
-    _comparison_table(outdir / "comparison.csv", rows)
-    for row in rows:
-        l0 = row.get("l0")
+    _comparison_table(case.outdir / "comparison.csv", rows)
+    for r in rows:
+        l0 = r.get("l0")
         l0_txt = f"{l0:.6g}" if isinstance(l0, float) else "-"
-        print(f"compare: {row['penalty']:<40} status={row['status']:<12} "
-              f"l0={l0_txt} certificate={row.get('certificate') or '-'}")
-    print(f"wrote {outdir / 'comparison.csv'}")
+        print(f"compare: {r['penalty']:<40} status={r['status']:<12} "
+              f"l0={l0_txt} certificate={r.get('certificate') or '-'}")
+    print(f"wrote {case.outdir / 'comparison.csv'}")
     return first_error
 
 
@@ -492,31 +460,24 @@ def cmd_validate(args) -> int:
     sub = doc.get("validate", {})
     if not isinstance(sub, dict):
         raise ConfigError("config key 'validate' must be a mapping")
-    if args.penalty is not None:
-        pen = parse_penalty_spec(args.penalty)
-    else:
-        pen = _penalties_from_config(doc, None, want_list=False)
+    pen = _penalties_from_config(doc, args.penalty, want_list=False)
     kwargs = {}
     if "grid_size" in sub:
         kwargs["grid_size"] = int(sub["grid_size"])
     if "margin" in sub:
         kwargs["margin"] = float(sub["margin"])
     report = validate_assumption(pen, **kwargs)
-    out = {"penalty": penalty_label(pen), **asdict(report)}
-    print(json.dumps(_jsonable(out), indent=2, sort_keys=True))
+    out = {"penalty": penalty_label(pen), **dataclasses.asdict(report)}
+    print(_json_text(out))
     return EXIT_OK if report.passed else EXIT_ASSUMPTION
 
 
 def cmd_oracle(args) -> int:
-    doc = load_config(args.config)
-    problem, N, planted = _problem_from_config(doc, args.seed)
-    penalties = _penalties_from_config(doc, args.penalty, want_list=True)
-    cfg_dca = _dca_from_config(doc, args.warm_start)
-    outdir = _outdir(args, doc)
-    dp = build_discrete(problem, N)
-    sub = doc.get("oracle", {})
+    case = _case(args, single=False)
+    dp, planted = case.dp, case.planted
+    sub = case.doc.get("oracle", {})
 
-    report: dict = {"N": N, "delta": dp.delta, "seed": args.seed}
+    report: dict = {"N": dp.N, "delta": dp.delta, "seed": args.seed}
     if planted is not None:
         report["planted_support_measure"] = l0_measure(planted)
 
@@ -528,57 +489,48 @@ def cmd_oracle(args) -> int:
         else:
             eps = 1e-3 * max(float(np.max(np.abs(dp.zeta))), 1e-5)
         min_l0, minimizers = brute_force_l0(dp, eps=eps)
+        oracle_min = None if np.isinf(min_l0) else min_l0
         report.update({
             "mode": "enumeration",
             "eps": eps,
-            "oracle_min_l0": None if np.isinf(min_l0) else min_l0,
+            "oracle_min_l0": oracle_min,
             "n_minimizers": len(minimizers),
             "no_feasible_grid_point": not minimizers,
         })
-        oracle_min = None if np.isinf(min_l0) else min_l0
-    elif _is_double_integrator(problem.system):
+    elif _is_double_integrator(case.problem.system):
         report.update({
             "mode": "certificate",
-            "expected_l0": -float(problem.x0[1]),
+            "expected_l0": -float(case.problem.x0[1]),
         })
-        oracle_min = None
     else:
         raise SizeError(
             f"m*N = {dp.m * dp.N} exceeds the enumeration cap and the system "
             "has no analytic certificate"
         )
 
-    tols = _certificate_tols(doc)
-    runs = []
-    start = _solve_l1(dp, cfg_dca).start
-    for pen in penalties:
-        entry: dict = {"penalty": penalty_label(pen), "status": "ok"}
-        try:
-            result = run_dca(dp, pen, cfg_dca, start)
-            entry.update({
-                "l0": result.l0,
-                "iterations": result.iterations,
-                "lp_solves": result.lp_solves,
-                "bob_deviation": result.bob_deviation,
-            })
-            if report["mode"] == "enumeration":
-                entry["agrees"] = (oracle_min is not None
-                                   and abs(result.l0 - oracle_min) <= 1e-9)
-            else:
-                states = simulate(dp, problem.x0, result.z_star.z)
-                rep = double_integrator_certificate(
-                    result.u_star, problem.x0, dp.N * dp.delta, tols, states=states)
-                entry["certificate"] = "pass" if rep.passed else "fail"
-                entry["certificate_report"] = asdict(rep)
-        except HandsOffError as exc:
-            entry["status"] = _outcome(exc).status
-            print(f"{penalty_label(pen)} failed: {exc}", file=sys.stderr)
-        runs.append(entry)
-    report["runs"] = runs
+    outputs = _outputs(case, _dataclass_from_config(case.doc, "certificate",
+                                                    CertificateTolerances))
+    start = _solve_l1(dp, case.cfg).start
 
-    write_json(outdir / "oracle.json", report)
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    print(f"wrote {outdir / 'oracle.json'}")
+    def run(pen):
+        result = run_dca(dp, pen, case.cfg, start)
+        entry = {"l0": result.l0, "iterations": result.iterations,
+                 "lp_solves": result.lp_solves, "bob_deviation": result.bob_deviation}
+        if report["mode"] == "enumeration":
+            entry["agrees"] = oracle_min is not None and abs(result.l0 - oracle_min) <= 1e-9
+        else:
+            _, rep = outputs(result.z_star.z, result.u_star, text=False)
+            entry["certificate"] = _verdict(rep)
+            entry["certificate_report"] = dataclasses.asdict(rep)
+        return entry
+
+    report["runs"] = [{"penalty": penalty_label(pen),
+                       **_attempt(penalty_label(pen), lambda: run(pen))[0]}
+                      for pen in case.penalties]
+
+    write_json(case.outdir / "oracle.json", report)
+    print(_json_text(report))
+    print(f"wrote {case.outdir / 'oracle.json'}")
     return EXIT_OK
 
 

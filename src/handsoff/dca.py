@@ -129,7 +129,6 @@ class DcaResult:
     stop_reason: str
     feas_history: list[float] = field(default_factory=list)
     max_kkt_residual: float = 0.0
-    lp_start: LpStart | None = None  # the basis the run's last LP ended on, for reuse
 
 
 def split_control(u: ControlSignal) -> SplitControl:
@@ -200,9 +199,8 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
     phase 1 altogether and starts the first LP from it.  Each LP is optimal at
     ``cfg.lp_tol`` either way, but on ties the start may select another
     optimal vertex and so another run.  Under ``"l1"`` a start from the l1
-    LP's own optimum, such as the one ``compare`` passes, gives the same
-    result bit for bit as no start.  The basis the last LP ended on is
-    returned as ``DcaResult.lp_start``.
+    LP's own optimum, such as the one ``compare`` and ``oracle`` pass to
+    every run, gives the same result bit for bit as no start.
 
     Raises ``AssumptionViolationError`` for an inadmissible penalty,
     ``InfeasibleProblemError`` (with the phase-1 certificate) when no
@@ -288,5 +286,4 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
         stop_reason=stop_reason,
         feas_history=feas_history,
         max_kkt_residual=max_kkt,
-        lp_start=start,
     )

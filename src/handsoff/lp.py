@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DimensionError, ParameterError
 from .linalg import as_matrix, as_vector
 
 OPTIMAL = "optimal"

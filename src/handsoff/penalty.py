@@ -182,11 +182,11 @@ def validate_assumption(pen: Penalty, grid_size: int = 1000, margin: float = 1e-
     grid = np.arange(1, grid_size + 1, dtype=float) / grid_size  # (0, 1]
     violated = []
 
-    sym_gap = float(np.max(np.abs(phi(pen, grid) - phi(pen, -grid))))
+    phi_vals = phi(pen, grid)
+    sym_gap = float(np.max(np.abs(phi_vals - phi(pen, -grid))))
     if sym_gap > 1e-14:
         violated.append("A2")
 
-    phi_vals = phi(pen, grid)
     phi_one = float(phi_vals[-1])
     worst = 1.0 - phi_one
     witness = 1.0

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError
 from .linalg import as_matrix, as_vector, zoh_discretize
-from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, solve_lp
 
 
 @dataclass
@@ -151,22 +150,3 @@ def simulate(dp: DiscreteProblem, x0, z) -> np.ndarray:
         if s < N:
             P = P @ P
     return states
-
-
-def check_feasible(dp: DiscreteProblem, tol: float = 1e-8) -> tuple[bool, np.ndarray | None]:
-    """Whether any boxed split control steers to the origin within ``tol``.
-
-    Solves the phase-1 problem behind a zero-objective LP; returns the
-    feasible witness when the minimal artificial mass is at most ``tol``.
-    """
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    q = 2 * dp.m * dp.N
-    sol = solve_lp(LpProblem(np.zeros(q), dp.Phi, -dp.zeta), tol=min(tol, 1e-9))
-    if sol.status == NUMERICAL_FAILURE:
-        raise NumericalError(
-            f"feasibility LP failed (equality residual {sol.eq_residual:.3e})"
-        )
-    if sol.status == INFEASIBLE and sol.phase1_value > tol:
-        return False, None
-    return True, sol.z

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from handsoff.cli import ConfigError, main
+from handsoff.dca import DcaConfig
 from handsoff.errors import (
     AssumptionViolationError,
     DimensionError,
@@ -15,6 +17,7 @@ from handsoff.errors import (
     ParameterError,
     SizeError,
 )
+from handsoff.oracle import CertificateTolerances
 from handsoff.penalty import Penalty
 from handsoff.cli import parse_penalty_spec, penalty_from_mapping, penalty_label
 
@@ -176,6 +179,23 @@ def test_solve_config_errors(tmp_path):
 
     cfg = write_config(tmp_path, N=0)
     assert main(["solve", "--config", cfg]) == 1
+
+
+CONFIG_FIELDS = [("dca", f) for f in fields(DcaConfig)] + [
+    ("certificate", f) for f in fields(CertificateTolerances)]
+
+
+@pytest.mark.parametrize("key,field", CONFIG_FIELDS,
+                         ids=[f"{key}.{f.name}" for key, f in CONFIG_FIELDS])
+def test_config_takes_every_field_of_its_dataclass(tmp_path, capsys, key, field):
+    pens = [{"kind": "l1l2", "lambda": 0.1}]
+    cfg = write_config(tmp_path, N=20, penalty=pens, **{key: {field.name: field.default}})
+    assert main(["compare", "--config", cfg, "--output", str(tmp_path / "ok")]) == 0
+    cfg = write_config(tmp_path, N=20, penalty=pens,
+                       **{key: {field.name: field.default, "bogus": 1}})
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg, "--output", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == f"configuration error: unknown {key} fields ['bogus']\n"
 
 
 def test_solve_output_dir_from_config(tmp_path):
@@ -419,16 +439,30 @@ def test_compare_simulates_each_solved_row_once(tmp_path, monkeypatch):
 
 
 def test_oracle_certificate_mode_simulates_each_run_once(tmp_path, monkeypatch):
+    import handsoff.cli
+
+    controls = []
+    run_dca = handsoff.cli.run_dca
+
+    def recording_run(dp, pen, cfg, start):
+        result = run_dca(dp, pen, cfg, start)
+        controls.append(result.z_star.z.tobytes())
+        return result
+
+    monkeypatch.setattr(handsoff.cli, "run_dca", recording_run)
     cfg = write_config(tmp_path, N=100, penalty=[
         {"kind": "mcp", "lambda": 1.0, "alpha": 0.5},
         {"kind": "l1l2", "lambda": 0.1},
+        {"kind": "scad", "lambda": 0.25, "alpha": 3.0},
     ])
     calls = count_simulate_calls(monkeypatch)
     out = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
     runs = json.loads((out / "oracle.json").read_text())["runs"]
-    assert [run["certificate"] for run in runs] == ["pass", "pass"]
-    assert calls == [100] * 2
+    assert [run["certificate"] for run in runs] == ["pass"] * 3
+    # one simulate per distinct control; runs that end on the same one share it
+    assert len(set(controls)) < len(controls) == 3
+    assert calls == [100] * len(set(controls))
 
 
 def test_compare_rows_with_equal_controls_share_one_trajectory(tmp_path, monkeypatch):

@@ -48,6 +48,11 @@ def benchmark_dp(N=40):
     return build_discrete(prob, N)
 
 
+def l1_start(dp):
+    """The l1 LP's optimal basis, as compare and oracle pass it to run_dca."""
+    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta)).start
+
+
 # ---------------------------------------------------------------------------
 # containers and conversions
 
@@ -265,7 +270,7 @@ def test_passed_start_gives_the_same_result(pen, warm_start):
     # for bit; under "zero" the first LP may pick another tied vertex.
     dp = benchmark_dp(40)
     cfg = DcaConfig(warm_start=warm_start)
-    start = solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta)).start
+    start = l1_start(dp)
     basis, status = start.basis.copy(), start.status.copy()
     shared = run_dca(dp, pen, cfg, start)
     if warm_start == "l1":
@@ -281,7 +286,7 @@ def test_run_dca_runs_phase_1_once(monkeypatch):
     dp = benchmark_dp(40)
     res = run_dca(dp, Penalty("mcp", 1.0, alpha=0.5), DcaConfig(warm_start="l1"))
     assert res.lp_solves >= 2 and len(calls) == 1
-    run_dca(dp, Penalty("scad", 0.25, alpha=3.0), DcaConfig(warm_start="l1"), res.lp_start)
+    run_dca(dp, Penalty("scad", 0.25, alpha=3.0), DcaConfig(warm_start="l1"), l1_start(dp))
     assert len(calls) == 1
 
 
@@ -308,11 +313,10 @@ def test_each_lp_starts_from_the_basis_the_last_one_ended_on(monkeypatch):
         # the previous LP's optimal basis: its own objective re-solves in 0 pivots
         assert passed is ended_on
         assert original(problem, start=passed).iterations == 0
-    assert res.lp_start is calls[-1][2]
 
 
 def test_start_for_another_problem_is_refused():
-    start = run_dca(benchmark_dp(20), Penalty("l1l2", 0.1)).lp_start
+    start = l1_start(benchmark_dp(20))
     with pytest.raises(ParameterError):
         run_dca(benchmark_dp(30), Penalty("l1l2", 0.1), DcaConfig(), start)
     with pytest.raises(ParameterError):

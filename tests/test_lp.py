@@ -18,7 +18,7 @@ from handsoff.lp import (
     kkt_residual,
     solve_lp,
 )
-from handsoff.system import ControlProblem, LinearSystem, build_discrete
+from handsoff.system import ControlProblem, LinearSystem, build_discrete, double_integrator
 
 
 def enumerate_optimum(c, A, b, tol=1e-9):
@@ -94,9 +94,14 @@ def test_redundant_rows():
 
 
 def test_zero_row_zero_rhs():
-    sol = solve_lp(LpProblem(c=np.ones(2), Aeq=np.zeros((1, 2)), beq=np.zeros(1)))
-    assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+    # Zero right-hand sides: a zero row, and the double integrator started at
+    # the origin, whose one l1-optimal control is zero.
+    origin = build_discrete(ControlProblem(double_integrator(), np.zeros(2), 1.0), 5)
+    for Aeq, beq in [(np.zeros((1, 2)), np.zeros(1)), (origin.Phi, -origin.zeta)]:
+        sol = solve_lp(LpProblem(c=np.ones(Aeq.shape[1]), Aeq=Aeq, beq=beq))
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(sol.z, 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

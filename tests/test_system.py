@@ -8,7 +8,6 @@ from handsoff.system import (
     DiscreteProblem,
     LinearSystem,
     build_discrete,
-    check_feasible,
     double_integrator,
     simulate,
 )
@@ -169,32 +168,3 @@ def test_simulate_leaves_its_inputs_alone():
     assert np.array_equal(states[0], x0)
     assert not np.shares_memory(states, x0) and not np.shares_memory(states, z)
 
-
-# ---------------------------------------------------------------------------
-# feasibility screening
-
-def test_origin_start_is_feasible_with_zero_witness():
-    prob = ControlProblem(double_integrator(), np.zeros(2), 1.0)
-    ok, z = check_feasible(build_discrete(prob, 5))
-    assert ok
-    assert np.allclose(z, 0.0, atol=1e-12)
-
-
-def test_benchmark_is_feasible():
-    ok, z = check_feasible(build_discrete(benchmark_problem(), 50))
-    assert ok
-    dp = build_discrete(benchmark_problem(), 50)
-    assert np.max(np.abs(dp.Phi @ z + dp.zeta)) <= 1e-8
-
-
-def test_far_state_short_horizon_is_infeasible():
-    prob = ControlProblem(double_integrator(), np.array([100.0, 0.0]), 1.0)
-    ok, z = check_feasible(build_discrete(prob, 10))
-    assert not ok
-    assert z is None
-
-
-def test_check_feasible_tol_validation():
-    dp = build_discrete(benchmark_problem(), 5)
-    with pytest.raises(ParameterError):
-        check_feasible(dp, tol=-1.0)
