@@ -154,6 +154,15 @@ def _dataclass_from_config(doc: dict, key: str, cls, **flags):
         raise ConfigError(f"bad {key} config: {exc}") from exc
 
 
+def _number(sub: dict, key: str, section: str, kind=float):
+    """``kind(sub[key])``; a ConfigError naming ``section.key`` if that fails."""
+    try:
+        return kind(sub[key])
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key} must be {what}, got {sub[key]!r}") from None
+
+
 def _penalties_from_config(doc: dict, inline: str | None, *, want_list: bool):
     if inline is not None:
         pens = [parse_penalty_spec(inline)]
@@ -461,11 +470,8 @@ def cmd_validate(args) -> int:
     if not isinstance(sub, dict):
         raise ConfigError("config key 'validate' must be a mapping")
     pen = _penalties_from_config(doc, args.penalty, want_list=False)
-    kwargs = {}
-    if "grid_size" in sub:
-        kwargs["grid_size"] = int(sub["grid_size"])
-    if "margin" in sub:
-        kwargs["margin"] = float(sub["margin"])
+    kwargs = {key: _number(sub, key, "validate", kind)
+              for key, kind in (("grid_size", int), ("margin", float)) if key in sub}
     report = validate_assumption(pen, **kwargs)
     out = {"penalty": penalty_label(pen), **dataclasses.asdict(report)}
     print(_json_text(out))
@@ -483,7 +489,7 @@ def cmd_oracle(args) -> int:
 
     if dp.m * dp.N <= 16:
         if "eps" in sub:
-            eps = float(sub["eps"])
+            eps = _number(sub, "eps", "oracle")
         elif planted is not None:
             eps = 1e-8
         else:

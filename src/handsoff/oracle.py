@@ -4,12 +4,18 @@ Two routes, deliberately separate from the solver: an analytic certificate
 for the double-integrator benchmark, whose optimal controls are known in
 closed form up to the switching set, and an exhaustive search over the
 three-level grid {-1, 0, 1}^(mN) for instances small enough to enumerate.
-``make_exact_instance`` runs the construction backwards: given a planted
-grid signal it produces the initial state that the signal steers to the
-origin exactly, so enumeration has a known feasible point.
+The search goes level by level in support size k = 0, 1, ..., mN and stops
+at the first level with a feasible point; it stays exhaustive, because every
+sparser signal has been tested and found infeasible by then, and it returns
+that level's minimizers in base-3 code order.  ``make_exact_instance`` runs
+the construction backwards: given a planted grid signal it produces the
+initial state that the signal steers to the origin exactly, so enumeration
+has a known feasible point.
 """
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +26,7 @@ from .linalg import as_matrix, as_vector
 from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete, double_integrator, simulate
 
 _MAX_ENUM_VARS = 16
+_CHUNK = 1 << 16  # grid points tested per matrix product
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,19 @@ class CertificateTolerances:
     support_threshold: float = 1e-6
     edge_window: int = 2
     per_edge: int = 2
+
+    def __post_init__(self):
+        for name in ("value", "l0", "dblint", "terminal", "support_threshold"):
+            val = getattr(self, name)
+            if val is None and name in ("l0", "dblint"):
+                continue
+            # `not val >= 0` also rejects NaN; inf switches a check off
+            if not isinstance(val, numbers.Real) or isinstance(val, bool) or not val >= 0:
+                raise ParameterError(f"tolerance {name!r} must be a nonnegative number, got {val!r}")
+        for name in ("edge_window", "per_edge"):
+            val = getattr(self, name)
+            if not isinstance(val, numbers.Integral) or isinstance(val, bool) or val < 0:
+                raise ParameterError(f"tolerance {name!r} must be a nonnegative integer, got {val!r}")
 
 
 @dataclass
@@ -159,9 +179,15 @@ def brute_force_l0(dp: DiscreteProblem, eps: float = 1e-8) -> tuple[float, list[
     """Exhaustive minimum support over grid signals u in {-1, 0, 1}^(m*N).
 
     Feasibility means the split of u satisfies the terminal constraint within
-    ``eps`` in the max norm.  Returns (min support measure, all attaining
-    signals); (inf, []) when no grid point is feasible.  Refuses instances
-    with more than 16 scalar samples.
+    ``eps`` in the max norm.  The scan goes by support size k = 0, 1, ...,
+    m*N: level k holds every support set of k scalar samples with each of
+    its 2^k sign patterns, and the scan stops after the first level with a
+    feasible point.  That is still exhaustive: every sparser grid signal was
+    tested and found infeasible, and every signal of the winning level was
+    tested.  Returns (min support measure, all attaining signals in base-3
+    code order, i.e. lexicographic with -1 < 0 < 1 and sample 0 of input 0
+    most significant); (inf, []) when no grid point is feasible.  Refuses
+    instances with more than 16 scalar samples.
     """
     if not np.isfinite(eps) or eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
@@ -171,33 +197,25 @@ def brute_force_l0(dp: DiscreteProblem, eps: float = 1e-8) -> tuple[float, list[
         raise SizeError(f"m*N = {nvars} exceeds the enumeration cap {_MAX_ENUM_VARS}")
     # One effective column per scalar sample: the w column is the exact
     # negation of the v column, so Phi @ split(u) is linear in u.
-    cols = dp.Phi.reshape(dp.n, N, 2 * m)
-    phi_u = np.concatenate([cols[:, k, :m] for k in range(N)], axis=1)  # (n, m*N)
-    total = 3 ** nvars
-    weights = 3 ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
-    best = nvars + 1
-    mins: list[np.ndarray] = []
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] // weights[None, :]) % 3
-        U = digits.astype(float) - 1.0  # {-1, 0, 1}
-        resid = U @ phi_u.T + dp.zeta
-        feas = np.max(np.abs(resid), axis=1) <= eps
-        if not feas.any():
-            continue
-        Uf = U[feas]
-        counts = np.count_nonzero(Uf, axis=1)
-        cmin = int(counts.min())
-        if cmin < best:
-            best = cmin
-            mins = [row for row in Uf[counts == cmin]]
-        elif cmin == best:
-            mins.extend(row for row in Uf[counts == best])
-    if not mins:
-        return math.inf, []
-    signals = [ControlSignal(dp.delta, row.reshape(N, m)) for row in mins]
-    return best * dp.delta, signals
+    phi_u = dp.Phi.reshape(dp.n, N, 2 * m)[:, :, :m].reshape(dp.n, nvars)
+    for k in range(nvars + 1):
+        supports = np.array(list(itertools.combinations(range(nvars), k)), dtype=np.intp)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))  # (2^k, k)
+        per = max(1, _CHUNK // len(signs))  # support sets per chunk
+        found = []
+        for start in range(0, len(supports), per):
+            # one row per (support set, sign pattern) pair
+            idx = np.repeat(supports[start:start + per], len(signs), axis=0)
+            U = np.zeros((len(idx), nvars))
+            np.put_along_axis(U, idx, np.tile(signs, (len(idx) // len(signs), 1)), axis=1)
+            resid = U @ phi_u.T + dp.zeta
+            found.append(U[np.max(np.abs(resid), axis=1) <= eps])
+        mins = np.concatenate(found)
+        if len(mins):
+            # lexsort's last key is the primary one: sample 0 of input 0
+            mins = mins[np.lexsort(mins.T[::-1])]
+            return k * dp.delta, [ControlSignal(dp.delta, row.reshape(N, m)) for row in mins]
+    return math.inf, []
 
 
 def make_exact_instance(system: LinearSystem, T: float, N: int, planted: ControlSignal) -> ControlProblem:

@@ -673,6 +673,42 @@ def test_oracle_size_error(tmp_path):
     assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "o")]) == 5
 
 
+PLANTED = {"N": 4, "T": 2.0, "x0": None, "penalty": [{"kind": "l1l2", "lambda": 0.1}]}
+BAD_VALUES = [
+    ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": "x"}},
+     "oracle.eps must be a number, got 'x'"),
+    ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": [1]}},
+     "oracle.eps must be a number, got [1]"),
+    ("validate", {"validate": {"grid_size": "x"}},
+     "validate.grid_size must be an integer, got 'x'"),
+    ("validate", {"validate": {"margin": "x"}},
+     "validate.margin must be a number, got 'x'"),
+    ("compare", {"N": 20, "certificate": {"value": "x"}},
+     "tolerance 'value' must be a nonnegative number, got 'x'"),
+    ("compare", {"N": 20, "certificate": {"edge_window": "x"}},
+     "tolerance 'edge_window' must be a nonnegative integer, got 'x'"),
+    ("oracle", {"N": 200, "certificate": {"value": "x"}},
+     "tolerance 'value' must be a nonnegative number, got 'x'"),
+    ("oracle", {"N": 200, "certificate": {"edge_window": "x"}},
+     "tolerance 'edge_window' must be a nonnegative integer, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,message", BAD_VALUES,
+                         ids=[f"{c}-{m.split()[0]}-{i}" for i, (c, _, m) in enumerate(BAD_VALUES)])
+def test_bad_config_value_is_a_configuration_error(tmp_path, capsys, command, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_oracle_size_error_comes_before_the_certificate(tmp_path):
+    cfg = write_config(tmp_path, system={"A": [[0.0]], "B": [[1.0]]},
+                       x0=[1.0], N=20, T=5.0, certificate={"value": "x"})
+    assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "o")]) == 5
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from handsoff import oracle
 from handsoff.dca import ControlSignal, split_control
 from handsoff.errors import DimensionError, DomainError, ParameterError, SizeError
 from handsoff.oracle import (
@@ -127,6 +129,20 @@ def test_certificate_zero_signal_from_origin():
     assert report.terminal_norm == 0.0
 
 
+@pytest.mark.parametrize("field,value", [
+    ("value", "x"), ("value", -1.0), ("value", float("nan")), ("value", True),
+    ("l0", "x"), ("dblint", -0.1), ("terminal", None), ("support_threshold", [1]),
+    ("edge_window", "x"), ("edge_window", 1.5), ("edge_window", -1), ("per_edge", None),
+])
+def test_certificate_tolerances_validation(field, value):
+    with pytest.raises(ParameterError, match=field):
+        CertificateTolerances(**{field: value})
+
+
+def test_certificate_tolerances_accept_inf_and_numpy_scalars():
+    CertificateTolerances(value=np.float64(0.0), l0=np.inf, edge_window=np.int64(0), per_edge=0)
+
+
 def test_certificate_input_validation():
     u = indicator_signal(100)
     with pytest.raises(DimensionError):
@@ -164,8 +180,8 @@ def test_brute_force_reports_all_minimizers():
     dp, _ = planted_problem(scalar_integrator(), [1.0, 0.0], 2.0)
     best, signals = brute_force_l0(dp)
     assert best == pytest.approx(1.0, abs=1e-12)
-    got = sorted(tuple(sig.samples[:, 0]) for sig in signals)
-    assert got == [(0.0, 1.0), (1.0, 0.0)]
+    # base-3 code order: sample 0 is the most significant digit, -1 < 0 < 1
+    assert [tuple(sig.samples[:, 0]) for sig in signals] == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def test_brute_force_minimizers_are_feasible():
@@ -199,6 +215,86 @@ def test_brute_force_multi_input():
     # planted needs 3 active scalar samples; nothing sparser reaches the state
     assert best == pytest.approx(3.0 * dp.delta, abs=1e-12)
     assert any(np.array_equal(sig.samples, u.samples) for sig in signals)
+
+
+def full_scan_l0(dp, eps):
+    """Reference: every grid point in base-3 code order, no early stop."""
+    m, N = dp.m, dp.N
+    nvars = m * N
+    cols = dp.Phi.reshape(dp.n, N, 2 * m)
+    phi_u = np.concatenate([cols[:, k, :m] for k in range(N)], axis=1)
+    weights = 3 ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    codes = np.arange(3 ** nvars, dtype=np.int64)
+    U = ((codes[:, None] // weights[None, :]) % 3).astype(float) - 1.0
+    feas = U[np.max(np.abs(U @ phi_u.T + dp.zeta), axis=1) <= eps]
+    if not len(feas):
+        return math.inf, []
+    counts = np.count_nonzero(feas, axis=1)
+    best = int(counts.min())
+    return best * dp.delta, [row.reshape(N, m) for row in feas[counts == best]]
+
+
+def cli_unplanted_eps(dp):
+    # the eps that `handsoff oracle` uses when the config plants no signal
+    return 1e-3 * max(float(np.max(np.abs(dp.zeta))), 1e-5)
+
+
+def assert_same_as_full_scan(dp, eps):
+    best, signals = brute_force_l0(dp, eps=eps)
+    ref_best, ref_rows = full_scan_l0(dp, eps)
+    assert best == ref_best
+    assert len(signals) == len(ref_rows)
+    for sig, row in zip(signals, ref_rows):
+        assert np.array_equal(sig.samples, row)
+    return ref_best
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 3], ids=["one_chunk", "many_chunks"])
+@pytest.mark.parametrize("seed", range(24))
+def test_brute_force_matches_full_scan(seed, chunk, monkeypatch):
+    # a tiny chunk splits every level after the first into many products
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rng = np.random.default_rng([7, seed])
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 3))
+    N = int(rng.integers(1, 10 // m + 1))
+    # every third plant is a bank of integrators: its samples are
+    # interchangeable, so a level holds many minimizers whose order counts
+    A = np.zeros((n, n)) if seed % 3 == 0 else rng.normal(scale=0.5, size=(n, n))
+    sys_ = LinearSystem(A, rng.normal(size=(n, m)))
+    flat = np.zeros(m * N)
+    k = int(rng.integers(1, min(3, m * N) + 1))
+    flat[rng.choice(m * N, size=k, replace=False)] = rng.choice([-1.0, 1.0], size=k)
+    planted = ControlSignal(2.0 / N, flat.reshape(N, m))
+    planted_dp = build_discrete(make_exact_instance(sys_, 2.0, N, planted), N)
+    for eps in (1e-8, cli_unplanted_eps(planted_dp)):
+        assert assert_same_as_full_scan(planted_dp, eps) <= k * planted_dp.delta
+    # an x0 far outside the grid's reach: no feasible point at any level
+    far_dp = build_discrete(ControlProblem(sys_, rng.normal(size=n) * 100.0, 2.0), N)
+    assert assert_same_as_full_scan(far_dp, 1e-8) == math.inf
+    assert_same_as_full_scan(far_dp, cli_unplanted_eps(far_dp))
+
+
+def test_brute_force_origin_stops_at_level_zero():
+    dp = build_discrete(ControlProblem(double_integrator(), np.zeros(2), 2.0), 4)
+    best, signals = brute_force_l0(dp)
+    assert best == 0.0
+    assert len(signals) == 1
+    assert np.array_equal(signals[0].samples, np.zeros((4, 1)))
+
+
+def test_brute_force_at_the_cap_stops_early():
+    # the full scan of 3^16 points takes seconds; one planted nonzero needs
+    # only levels 0 and 1
+    flat = np.zeros(16)
+    flat[5] = -1.0
+    dp, u = planted_problem(double_integrator(), flat, 4.0)
+    t0 = time.perf_counter()
+    best, signals = brute_force_l0(dp)
+    elapsed = time.perf_counter() - t0
+    assert best == pytest.approx(dp.delta, abs=1e-12)
+    assert any(np.array_equal(sig.samples, u.samples) for sig in signals)
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
