@@ -26,7 +26,6 @@ import numpy as np
 from .dca import (
     ControlSignal,
     DcaConfig,
-    SplitControl,
     bang_off_bang_deviation,
     checked_lp,
     l0_measure,
@@ -322,16 +321,16 @@ def _case(args, *, single: bool, tols: bool = False) -> Case:
 
 def _outputs(case: Case, tols: CertificateTolerances | None):
     """``outputs(z, u, text=True)`` -> (trajectory text or None, certificate
-    report or None) of the control with split ``z`` and samples ``u``.  The
-    certificate runs on each call, given ``tols`` and the double integrator.
-    Simulate and format run once per distinct control (bit for bit): many
-    penalties often stop at one vertex."""
+    report or None) of the control with split ``z`` and samples
+    ``u = recombine(z, ...)``.  The certificate runs on each call, given
+    ``tols`` and the double integrator.  Simulate and format run once per
+    distinct ``z`` (bit for bit): many penalties often stop at one vertex."""
     dp, x0 = case.dp, case.problem.x0
     certify = tols is not None and _is_double_integrator(case.problem.system)
     shared: dict[bytes, list] = {}
 
     def outputs(z, u, text=True):
-        entry = shared.setdefault(z.tobytes() + u.samples.tobytes(), [None, None])
+        entry = shared.setdefault(z.tobytes(), [None, None])
         if entry[0] is None:
             entry[0] = simulate(dp, x0, z)
         if text and entry[1] is None:
@@ -366,7 +365,7 @@ def _solve_and_write(case: Case, outputs, pen: Penalty, start, suffix: str, seed
     t0 = time.perf_counter()
     result = run_dca(case.dp, pen, case.cfg, start)
     wall = time.perf_counter() - t0
-    text, report = outputs(result.z_star.z, result.u_star)
+    text, report = outputs(result.z_star, result.u_star)
     write_trajectory_csv(case.outdir / f"trajectory{suffix}.csv", text)
     write_json(case.outdir / f"summary{suffix}.json", {
         "penalty": penalty_label(pen),
@@ -430,7 +429,7 @@ def cmd_compare(args) -> int:
 
     def baseline():
         sol = checked_lp(l1, "the l1 baseline")
-        u = recombine(SplitControl(dp.delta, dp.N, dp.m, np.clip(sol.z, 0.0, 1.0)))
+        u = recombine(sol.z, dp.delta, dp.m)
         text, report = outputs(sol.z, u)
         write_trajectory_csv(case.outdir / "trajectory_l1.csv", text)
         return {"l0": l0_measure(u), "J_d": sol.objective, "c": "", "iterations": 1,
@@ -525,7 +524,7 @@ def cmd_oracle(args) -> int:
         if report["mode"] == "enumeration":
             entry["agrees"] = oracle_min is not None and abs(result.l0 - oracle_min) <= 1e-9
         else:
-            _, rep = outputs(result.z_star.z, result.u_star, text=False)
+            _, rep = outputs(result.z_star, result.u_star, text=False)
             entry["certificate"] = _verdict(rep)
             entry["certificate_report"] = dataclasses.asdict(rep)
         return entry

@@ -59,39 +59,6 @@ class ControlSignal:
         return self.samples.shape[1]
 
 
-@dataclass
-class SplitControl:
-    """Stacked nonnegative split z = [v[0]; w[0]; ...; v[N-1]; w[N-1]]."""
-
-    delta: float
-    N: int
-    m: int
-    z: np.ndarray  # (2*m*N,)
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        if self.N < 1 or self.m < 1:
-            raise DimensionError(f"need N, m >= 1, got N={self.N}, m={self.m}")
-        if self.z.shape != (2 * self.m * self.N,):
-            raise DimensionError(
-                f"z has shape {self.z.shape}, expected ({2 * self.m * self.N},)"
-            )
-        if not np.all(np.isfinite(self.z)):
-            raise DomainError("z contains non-finite entries")
-        if self.z.size and (self.z.min() < -_BOX_SLACK or self.z.max() > 1.0 + _BOX_SLACK):
-            raise DomainError("z leaves the unit box beyond tolerance")
-        if not np.isfinite(self.delta) or self.delta <= 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.z.reshape(self.N, 2 * self.m)[:, : self.m]
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.z.reshape(self.N, 2 * self.m)[:, self.m :]
-
-
 @dataclass(frozen=True)
 class DcaConfig:
     cost_tol: float = 1e-8
@@ -117,7 +84,7 @@ class DcaConfig:
 
 @dataclass
 class DcaResult:
-    z_star: SplitControl
+    z_star: np.ndarray  # the last LP's vertex, unclipped; u_star = recombine(z_star)
     u_star: ControlSignal
     cost_history: list[float]
     iterations: int
@@ -131,22 +98,23 @@ class DcaResult:
     max_kkt_residual: float = 0.0
 
 
-def split_control(u: ControlSignal) -> SplitControl:
-    """Positive/negative split: v = max(u, 0), w = max(-u, 0), interleaved."""
+def split_control(u: ControlSignal) -> np.ndarray:
+    """The stacked split z = [v[0]; w[0]; ...; v[N-1]; w[N-1]] of ``u``, with
+    v = max(u, 0) and w = max(-u, 0) samplewise; shape (2*m*N,)."""
     v = np.maximum(u.samples, 0.0)
     w = np.maximum(-u.samples, 0.0)
-    z = np.hstack([v, w]).reshape(-1)
-    return SplitControl(u.delta, u.N, u.m, z)
+    return np.hstack([v, w]).reshape(-1)
 
 
-def recombine(sc: SplitControl) -> ControlSignal:
-    """Inverse of the split: u = v - w samplewise."""
-    return ControlSignal(sc.delta, sc.v - sc.w)
+def recombine(z: np.ndarray, delta: float, m: int) -> ControlSignal:
+    """Inverse of the split, u = v - w samplewise, after clipping z to [0, 1]:
+    an LP vertex's entry at -1e-14 gives u = 0.  The one split-to-control map."""
+    vw = np.clip(z, 0.0, 1.0).reshape(-1, 2 * m)
+    return ControlSignal(delta, vw[:, :m] - vw[:, m:])
 
 
-def cost_jd(pen: Penalty, sc: SplitControl, tol: float = 1e-6) -> float:
+def cost_jd(pen: Penalty, z: np.ndarray, tol: float = 1e-6) -> float:
     """Discrete objective: sum(z) minus the summed gaps, per sample (no delta factor)."""
-    z = sc.z
     if z.size and (z.min() < -tol or z.max() > 1.0 + tol):
         raise DomainError("split control leaves [0, 1] beyond tol")
     zc = np.clip(z, 0.0, 1.0)
@@ -243,7 +211,7 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
 
     prev_cost = None
     if resid <= feas_gate:  # track costs only along feasible iterates
-        prev_cost = cost_jd(pen, SplitControl(dp.delta, N, m, z))
+        prev_cost = cost_jd(pen, z)
         cost_history.append(prev_cost)
         feas_history.append(resid)
 
@@ -256,7 +224,7 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
         iterations += 1
         max_kkt = max(max_kkt, sol.kkt_residual)
         z_new = sol.z
-        cost_new = cost_jd(pen, SplitControl(dp.delta, N, m, z_new))
+        cost_new = cost_jd(pen, z_new)
         cost_history.append(cost_new)
         feas_history.append(sol.eq_residual)
         step = float(np.max(np.abs(z_new - z)))
@@ -270,17 +238,17 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             stop_reason = "step_stall"
             break
 
-    z_star = SplitControl(dp.delta, N, m, z)
-    u_star = recombine(z_star)
-    comp = float(np.max(np.minimum(z_star.v, z_star.w), initial=0.0))
+    u_star = recombine(z, dp.delta, m)
+    vw = z.reshape(N, 2 * m)
+    comp = float(np.max(np.minimum(vw[:, :m], vw[:, m:]), initial=0.0))
     return DcaResult(
-        z_star=z_star,
+        z_star=z,
         u_star=u_star,
         cost_history=cost_history,
         iterations=iterations,
         lp_solves=lp_solves,
         l0=l0_measure(u_star, cfg.l0_threshold),
-        feas_residual=float(np.max(np.abs(Aeq @ z - beq))),
+        feas_residual=feas_history[-1],
         complementarity_violation=comp,
         bob_deviation=bang_off_bang_deviation(u_star),
         stop_reason=stop_reason,

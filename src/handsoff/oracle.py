@@ -149,7 +149,7 @@ def double_integrator_certificate(
 
     if states is None:
         dp = build_discrete(ControlProblem(double_integrator(), x0, T), N)
-        states = simulate(dp, x0, split_control(u).z)
+        states = simulate(dp, x0, split_control(u))
     else:
         states = as_matrix(states, "states")
         if states.shape != (N + 1, 2):
@@ -237,6 +237,6 @@ def make_exact_instance(system: LinearSystem, T: float, N: int, planted: Control
         raise DimensionError(
             f"planted delta {planted.delta} does not match T/N = {dp.delta}"
         )
-    rhs = dp.Phi @ split_control(planted).z
+    rhs = dp.Phi @ split_control(planted)
     x0 = -np.linalg.solve(np.linalg.matrix_power(dp.Ad, N), rhs)
     return ControlProblem(system, x0, T)

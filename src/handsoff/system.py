@@ -5,6 +5,11 @@ contributes a block [v[k]; w[k]] with u[k] = v[k] - w[k], so the one-step
 input matrix is built for [B, -B] and the reachability map ``Phi`` has one
 n x 2m block per sample.  Steering to the origin is the single equality
 constraint ``Phi @ z + zeta = 0`` over the box [0, 1]^(2mN).
+
+One doubling scan (``_scan``) sums the recurrence x_{k+1} = Ad x_k + b_k,
+for the states in ``simulate`` and for ``Phi``'s blocks in ``build_discrete``.
+Both regroup the sums of a step-by-step loop, so they agree with it to
+rounding, not bitwise.
 """
 
 from dataclasses import dataclass
@@ -104,18 +109,36 @@ class DiscreteProblem:
         return self.Bd.shape[1] // 2
 
 
+def _scan(Ad: np.ndarray, b: np.ndarray) -> None:
+    """b[k] <- sum_{j<=k} Ad^(k-j) b[j] in place, for C-contiguous b of shape
+    (N, n) or (N, r, n) whose last axis is a state.  A doubling (Hillis-Steele)
+    prefix scan: the step with shift s adds Ad^s times the partial sums s
+    samples back in one 2-D product, then squares Ad^s; ceil(log2 N) steps."""
+    N = b.shape[0]
+    rows = b.reshape(-1, Ad.shape[0])  # a view: the scan writes into b
+    r = rows.shape[0] // N
+    P = Ad  # Ad^s
+    s = 1
+    while s < N:
+        rows[s * r:] += rows[:-s * r] @ P.T
+        s *= 2
+        if s < N:
+            P = P @ P
+
+
 def build_discrete(problem: ControlProblem, N: int) -> DiscreteProblem:
-    """Discretize over N equal steps of length T/N."""
+    """Discretize over N equal steps of length T/N.  ``Phi`` is the scan of
+    Bd alone (row k holds (Ad^k Bd)^T), its blocks in reverse order."""
     if N < 1:
         raise ParameterError(f"N must be at least 1, got {N}")
     sys_ = problem.system
     delta = problem.T / N
     Ad, Bd = zoh_discretize(sys_.A, np.hstack([sys_.B, -sys_.B]), delta)
-    blocks = [np.empty(0)] * N
-    blocks[N - 1] = Bd
-    for k in range(N - 2, -1, -1):
-        blocks[k] = Ad @ blocks[k + 1]
-    Phi = np.hstack(blocks)
+    n, width = Bd.shape
+    powers = np.zeros((N, width, n))
+    powers[0] = Bd.T
+    _scan(Ad, powers)
+    Phi = powers[::-1].transpose(2, 0, 1).reshape(n, N * width)
     zeta = np.linalg.matrix_power(Ad, N) @ problem.x0
     return DiscreteProblem(delta, N, Ad, Bd, Phi, zeta)
 
@@ -124,10 +147,8 @@ def simulate(dp: DiscreteProblem, x0, z) -> np.ndarray:
     """States x_0..x_N of x_{k+1} = Ad x_k + Bd z_k; returns shape (N+1, n).
 
     The plant is time-invariant, so x_{k+1} = sum_{j<=k} Ad^(k-j) b_j with
-    b_j = Bd z_j and the initial state folded in as b_0 += Ad x0.  A doubling
-    (Hillis-Steele) prefix scan sums this in ceil(log2 N) numpy steps: the
-    step with shift s adds Ad^s times the partial sums s samples back, and
-    Ad^s is squared between steps.  The sums are grouped differently from a
+    b_j = Bd z_j and the initial state folded in as b_0 += Ad x0, summed by
+    ``_scan`` (as ``Phi`` is).  Its sums are grouped differently from a
     step-by-step loop, so the states agree with it to rounding, not bitwise.
     """
     x0 = as_vector(x0, "x0")
@@ -142,11 +163,5 @@ def simulate(dp: DiscreteProblem, x0, z) -> np.ndarray:
     b = states[1:]  # a view: the scan runs in place in the result
     b[:] = z.reshape(N, 2 * m) @ dp.Bd.T
     b[0] += dp.Ad @ x0
-    P = dp.Ad  # Ad^s
-    s = 1
-    while s < N:
-        b[s:] += b[:-s] @ P.T
-        s *= 2
-        if s < N:
-            P = P @ P
+    _scan(dp.Ad, b)
     return states

@@ -420,22 +420,49 @@ def count_simulate_calls(monkeypatch):
     return calls
 
 
+def record_controls(monkeypatch):
+    """Wrap cli's l1 solve and DC runs; returns a dict from row tag ("l1" or
+    the penalty kind) to the split control that row's trajectory comes from."""
+    import handsoff.cli
+
+    controls = {}
+    solve_l1, run_dca = handsoff.cli._solve_l1, handsoff.cli.run_dca
+
+    def recording_l1(dp, cfg):
+        sol = solve_l1(dp, cfg)
+        controls["l1"] = sol.z
+        return sol
+
+    def recording_run(dp, pen, cfg, start):
+        result = run_dca(dp, pen, cfg, start)
+        controls[pen.kind] = result.z_star
+        return result
+
+    monkeypatch.setattr(handsoff.cli, "_solve_l1", recording_l1)
+    monkeypatch.setattr(handsoff.cli, "run_dca", recording_run)
+    return controls
+
+
 def test_compare_simulates_each_solved_row_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, N=40, penalty=[
         {"kind": "l1l2", "lambda": 0.1},
         {"kind": "scad", "lambda": 0.25, "alpha": 3.0},
         {"kind": "l1l2", "lambda": 1.0},  # fails the assumption check
     ])
+    controls = record_controls(monkeypatch)
     calls = count_simulate_calls(monkeypatch)
     out = tmp_path / "out"
     assert main(["compare", "--config", cfg, "--output", str(out)]) == 4
     rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
     assert [row[1] for row in rows] == ["ok", "ok", "ok", "assumption_violated"]
     assert [row[-1] for row in rows[:3]] == ["pass"] * 3
-    # the l1l2 and scad rows end on the same control and share one simulate
+    # the l1 LP and both DC rows end on bitwise the same z, which has an
+    # entry a rounding error below 0; they write one trajectory from one simulate
+    assert controls["l1"].min() < 0.0
+    assert all(np.array_equal(controls["l1"], z) for z in controls.values())
     files = [(out / f"trajectory_{tag}.csv").read_bytes() for tag in ("l1", "l1l2", "scad")]
-    assert files[1] == files[2] != files[0]
-    assert calls == [40] * 2
+    assert files[0] == files[1] == files[2]
+    assert calls == [40]
 
 
 def test_oracle_certificate_mode_simulates_each_run_once(tmp_path, monkeypatch):
@@ -446,7 +473,7 @@ def test_oracle_certificate_mode_simulates_each_run_once(tmp_path, monkeypatch):
 
     def recording_run(dp, pen, cfg, start):
         result = run_dca(dp, pen, cfg, start)
-        controls.append(result.z_star.z.tobytes())
+        controls.append(result.z_star.tobytes())
         return result
 
     monkeypatch.setattr(handsoff.cli, "run_dca", recording_run)
@@ -468,19 +495,7 @@ def test_oracle_certificate_mode_simulates_each_run_once(tmp_path, monkeypatch):
 def test_compare_rows_with_equal_controls_share_one_trajectory(tmp_path, monkeypatch):
     import handsoff.cli
 
-    controls = {}  # tag -> the split control a row's trajectory comes from
-    solve_l1, run_dca = handsoff.cli._solve_l1, handsoff.cli.run_dca
-
-    def recording_l1(dp, cfg):
-        sol = solve_l1(dp, cfg)
-        controls["l1"] = sol.z
-        return sol
-
-    def recording_run(dp, pen, cfg, start):
-        result = run_dca(dp, pen, cfg, start)
-        controls[pen.kind] = result.z_star.z
-        return result
-
+    controls = record_controls(monkeypatch)
     formatted = []
     trajectory_csv = handsoff.cli.trajectory_csv
 
@@ -488,8 +503,6 @@ def test_compare_rows_with_equal_controls_share_one_trajectory(tmp_path, monkeyp
         formatted.append(signal)
         return trajectory_csv(signal, states)
 
-    monkeypatch.setattr(handsoff.cli, "_solve_l1", recording_l1)
-    monkeypatch.setattr(handsoff.cli, "run_dca", recording_run)
     monkeypatch.setattr(handsoff.cli, "trajectory_csv", counting)
     calls = count_simulate_calls(monkeypatch)
     cfg = str(Path(__file__).resolve().parents[1] / "configs" / "double_integrator.json")
@@ -502,22 +515,23 @@ def test_compare_rows_with_equal_controls_share_one_trajectory(tmp_path, monkeyp
         for b in controls:
             if np.array_equal(controls[a], controls[b]):
                 assert files[a] == files[b], (a, b)
+    # every row stays on the l1 LP's vertex
     distinct = {z.tobytes() for z in controls.values()}
-    assert len(formatted) == len(calls) == len(distinct) == 2
+    assert len(formatted) == len(calls) == len(distinct) == 1
 
     # the table as each row computed on its own gave it
     rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()]
     assert rows[0] == ["penalty", "status", "l0", "J_d", "c", "iterations", "lp_solves",
                        "bob_deviation", "certificate"]
     expected = [
-        ("l1", "", "1", 200.0, 7.12e-12),
-        ("lp lambda=0.8 p=0.5", "0.80000000000000004", "2", 160.00000213, 7.09e-12),
-        ("mcp lambda=1.0 alpha=0.5", "0.25", "2", 50.0, 7.09e-12),
-        ("scad lambda=0.25 alpha=3.0", "0.125", "2", 25.0, 7.09e-12),
+        ("l1", "", "1", 200.0, 1.44e-12),
+        ("lp lambda=0.8 p=0.5", "0.80000000000000004", "2", 160.0, 1.44e-12),
+        ("mcp lambda=1.0 alpha=0.5", "0.25", "2", 50.0, 1.44e-12),
+        ("scad lambda=0.25 alpha=3.0", "0.125", "2", 25.0, 1.44e-12),
         ("lsp lambda=0.007238240841133117 alpha=1e-06", "0.099999999999999978", "2",
-         20.0000000513, 7.09e-12),
-        ("capped_l1 lambda=0.8 alpha=0.5", "0.40000000000000002", "2", 80.0, 7.09e-12),
-        ("l1l2 lambda=0.1", "0.90000000000000002", "2", 180.0, 7.09e-12),
+         20.0, 1.44e-12),
+        ("capped_l1 lambda=0.8 alpha=0.5", "0.40000000000000002", "2", 80.0, 1.44e-12),
+        ("l1l2 lambda=0.1", "0.90000000000000002", "2", 180.0, 1.44e-12),
     ]
     assert len(rows) == 1 + len(expected)
     for row, (penalty, c, lp_solves, j_d, bob) in zip(rows[1:], expected):

@@ -9,7 +9,6 @@ from handsoff.dca import (
     ControlSignal,
     DcaConfig,
     DcaResult,
-    SplitControl,
     bang_off_bang_deviation,
     checked_lp,
     cost_jd,
@@ -65,19 +64,9 @@ def test_control_signal_validation():
         ControlSignal(1.0, [0.5, 0.5])
 
 
-def test_split_control_validation():
-    with pytest.raises(DimensionError):
-        SplitControl(1.0, 2, 1, np.zeros(3))
-    with pytest.raises(DomainError):
-        SplitControl(1.0, 1, 1, np.array([1.2, 0.0]))
-
-
 def test_split_layout():
     u = ControlSignal(0.5, [[0.5, -0.25], [-1.0, 0.0]])
-    sc = split_control(u)
-    assert np.array_equal(sc.z, [0.5, 0.0, 0.0, 0.25, 0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(sc.v, [[0.5, 0.0], [0.0, 0.0]])
-    assert np.array_equal(sc.w, [[0.0, 0.25], [1.0, 0.0]])
+    assert np.array_equal(split_control(u), [0.5, 0.0, 0.0, 0.25, 0.0, 0.0, 1.0, 0.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -88,32 +77,41 @@ def test_split_layout():
 )
 def test_split_recombine_round_trip(samples, delta):
     u = ControlSignal(delta, samples)
-    sc = split_control(u)
-    back = recombine(sc)
-    assert np.array_equal(back.samples, u.samples)
-    assert np.min(np.minimum(sc.v, sc.w)) == 0.0  # split is complementary
+    z = split_control(u)
+    back = recombine(z, delta, u.m)
+    assert back.delta == delta and np.array_equal(back.samples, u.samples)
+    vw = z.reshape(u.N, 2, u.m)
+    assert np.min(np.minimum(vw[:, 0], vw[:, 1])) == 0.0  # split is complementary
+
+
+def test_recombine_clips_to_the_box():
+    # an LP vertex may sit a rounding error outside [0, 1]; the control does not
+    z = np.array([-1.7e-14, 0.0, 1.0 + 1e-15, 0.0, 0.25, -1e-14])
+    assert np.array_equal(recombine(z, 0.5, 1).samples, [[0.0], [1.0], [0.25]])
 
 
 # ---------------------------------------------------------------------------
 # scalar summaries
 
 def test_cost_jd_single_sample():
-    sc = split_control(ControlSignal(1.0, [[0.5]]))
-    assert cost_jd(Penalty("l1l2", 0.6), sc) == pytest.approx(0.35, abs=1e-15)
+    z = split_control(ControlSignal(1.0, [[0.5]]))
+    assert cost_jd(Penalty("l1l2", 0.6), z) == pytest.approx(0.35, abs=1e-15)
 
 
 def test_cost_jd_on_three_point_controls():
     # on {-1, 0, 1} samples the objective is exactly the equivalence constant
     # times the number of active samples
-    sc = split_control(ControlSignal(1.0, [[1.0], [0.0], [-1.0], [0.0]]))
+    z = split_control(ControlSignal(1.0, [[1.0], [0.0], [-1.0], [0.0]]))
     for pen in CATALOG:
         want = 2.0 * equivalence_constant(pen)
-        assert cost_jd(pen, sc) == pytest.approx(want, abs=1e-12)
+        assert cost_jd(pen, z) == pytest.approx(want, abs=1e-12)
 
 
 def test_cost_jd_rejects_out_of_box():
     with pytest.raises(DomainError):
-        cost_jd(Penalty("l1l2", 0.6), SplitControl(1.0, 1, 1, np.array([1.0 + 2e-6, 0.0])))
+        cost_jd(Penalty("l1l2", 0.6), np.array([1.0 + 2e-6, 0.0]))
+    with pytest.raises(DomainError):
+        cost_jd(Penalty("l1l2", 0.6), np.array([0.0, -2e-6]))
 
 
 def test_l0_measure():
@@ -152,7 +150,7 @@ def test_origin_start_stops_immediately():
     assert res.iterations == 1
     assert res.stop_reason == "cost_stall"
     assert res.l0 == 0.0
-    assert np.allclose(res.z_star.z, 0.0, atol=1e-12)
+    assert np.allclose(res.z_star, 0.0, atol=1e-12)
     assert res.cost_history[0] == 0.0
 
 
@@ -176,14 +174,15 @@ def test_descent_and_nonnegativity(pen):
     assert max(res.feas_history) <= 1e-8
     assert res.stop_reason in ("cost_stall", "step_stall", "max_iter")
     # the reported complementarity number matches its definition
-    recomputed = float(np.max(np.minimum(res.z_star.v, res.z_star.w)))
+    vw = res.z_star.reshape(-1, 2)  # m = 1: columns v and w
+    recomputed = float(np.max(np.minimum(vw[:, 0], vw[:, 1])))
     assert res.complementarity_violation == recomputed
 
 
 def test_bang_off_result_cost_identity():
     res = run_dca(benchmark_dp(40), Penalty("lp", 0.8, p=0.5), DcaConfig(warm_start="l1"))
     assert res.bob_deviation <= 1e-9
-    want = equivalence_constant(Penalty("lp", 0.8, p=0.5)) * res.l0 / res.z_star.delta
+    want = equivalence_constant(Penalty("lp", 0.8, p=0.5)) * res.l0 / res.u_star.delta
     assert res.cost_history[-1] == pytest.approx(want, abs=1e-9)
 
 
@@ -225,7 +224,7 @@ def test_result_reproducible():
     dp = benchmark_dp(30)
     a = run_dca(dp, Penalty("mcp", 1.0, alpha=0.5), DcaConfig(warm_start="l1"))
     b = run_dca(dp, Penalty("mcp", 1.0, alpha=0.5), DcaConfig(warm_start="l1"))
-    assert np.array_equal(a.z_star.z, b.z_star.z)
+    assert np.array_equal(a.z_star, b.z_star)
     assert a.cost_history == b.cost_history
     assert a.iterations == b.iterations
 

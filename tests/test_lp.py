@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import handsoff.lp
 from handsoff.errors import DimensionError, DomainError, ParameterError
 from handsoff.lp import (
     _BASIC,
@@ -332,17 +333,24 @@ def test_start_survives_a_failed_phase_2():
 # box flips: a run of flips shares one pricing pass
 
 @pytest.mark.parametrize("N, iterations, basis, upper_runs", [
-    (1000, 201, [350, 1950], [(0, 350), (1952, 2000)]),
+    (1000, 203, [0, 1948], [(2, 350), (1950, 2000)]),
     (4000, 803, [0, 7800], [(2, 1402), (7802, 8000)]),
 ])
-def test_double_integrator_l1_lp_path(N, iterations, basis, upper_runs):
-    # Nearly every pivot of this LP is a box flip, in a few long runs; the
-    # counts and the final basis are those of pricing before every flip.
+def test_double_integrator_l1_lp_path(N, iterations, basis, upper_runs, monkeypatch):
+    # Nearly every pivot of this LP is a box flip, in a few long runs.  The
+    # batched runs take the path of pricing before every flip, which is
+    # _simplex with _flip_run flipping nothing.
     system = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
     dp = build_discrete(ControlProblem(system, np.array([1.0, -1.0]), 5.0), N)
-    sol = solve_lp(LpProblem(np.ones(2 * N), dp.Phi, -dp.zeta))
-    assert sol.status == OPTIMAL
-    assert sol.iterations == iterations
+    p = LpProblem(np.ones(2 * N), dp.Phi, -dp.zeta)
+    sol = solve_lp(p)
+    with monkeypatch.context() as patch:
+        patch.setattr(handsoff.lp, "_flip_run", lambda *args: 0)
+        ref = solve_lp(p)
+    assert sol.status == ref.status == OPTIMAL
+    assert sol.iterations == ref.iterations == iterations
+    assert np.array_equal(sol.start.basis, ref.start.basis)
+    assert np.array_equal(sol.start.status, ref.start.status)
     status = np.full(2 * N + 2, _LOWER, dtype=np.int8)
     for lo, hi in upper_runs:
         status[lo:hi:2] = _UPPER

@@ -61,7 +61,7 @@ def test_certificate_takes_the_callers_states():
     N = 400
     u = indicator_signal(N)
     dp = build_discrete(ControlProblem(double_integrator(), X0, T), N)
-    states = simulate(dp, X0, split_control(u).z)
+    states = simulate(dp, X0, split_control(u))
     assert double_integrator_certificate(u, X0, T, states=states) == double_integrator_certificate(u, X0, T)
     for bad in (states[:-1], states[:, :1], np.hstack([states, states[:, :1]]), states[:, 0]):
         with pytest.raises(DimensionError):
@@ -189,7 +189,7 @@ def test_brute_force_minimizers_are_feasible():
     best, signals = brute_force_l0(dp)
     assert math.isfinite(best)
     for sig in signals:
-        resid = dp.Phi @ split_control(sig).z + dp.zeta
+        resid = dp.Phi @ split_control(sig) + dp.zeta
         assert np.max(np.abs(resid)) <= 1e-8 + 1e-9
 
 
@@ -310,7 +310,7 @@ def test_make_exact_instance_round_trip(seed):
     planted = ControlSignal(2.0 / N, rng.integers(-1, 2, size=(N, m)).astype(float))
     prob = make_exact_instance(sys_, 2.0, N, planted)
     dp = build_discrete(prob, N)
-    final = simulate(dp, prob.x0, split_control(planted).z)[-1]
+    final = simulate(dp, prob.x0, split_control(planted))[-1]
     assert np.max(np.abs(final)) <= 1e-9
 
 

@@ -73,15 +73,6 @@ def test_scalar_integrator_reachability_row():
     assert np.allclose(dp.zeta, [0.3], atol=1e-15)
 
 
-def test_phi_blocks_are_shifted_powers():
-    dp = build_discrete(benchmark_problem(), 7)
-    width = 2 * dp.m
-    for k in range(dp.N):
-        want = np.linalg.matrix_power(dp.Ad, dp.N - 1 - k) @ dp.Bd
-        got = dp.Phi[:, k * width : (k + 1) * width]
-        assert np.max(np.abs(got - want)) <= 1e-10
-
-
 def test_grid_covers_horizon():
     for N in (1, 3, 200, 1000):
         dp = build_discrete(benchmark_problem(), N)
@@ -137,25 +128,47 @@ SCAN_LENGTHS = sorted({1, 2, 3, 3000}
                       | {2**k + d for k in range(2, 12) for d in (-1, 0, 1)})
 
 
+def shifted_plant_problem(rng, stable):
+    """A random plant with n <= 4 and m <= 3 whose spectrum is shifted so
+    its rightmost real part is -c (stable) or +c, for c in [0.1, 1]."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 4))
+    M = rng.normal(scale=0.5, size=(n, n))
+    c = float(rng.uniform(0.1, 1.0))
+    shift = np.max(np.linalg.eigvals(M).real) + (c if stable else -c)
+    sys_ = LinearSystem(M - shift * np.eye(n), rng.normal(size=(n, m)))
+    return ControlProblem(sys_, rng.normal(size=n), float(rng.uniform(0.5, 4.0)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(SCAN_LENGTHS), st.booleans())
 def test_scan_matches_extended_precision_stepping(seed, N, stable):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
-    m = int(rng.integers(1, 4))
-    M = rng.normal(scale=0.5, size=(n, n))
-    # shift the spectrum so its rightmost real part is -c or +c
-    c = float(rng.uniform(0.1, 1.0))
-    shift = np.max(np.linalg.eigvals(M).real) + (c if stable else -c)
-    sys_ = LinearSystem(M - shift * np.eye(n), rng.normal(size=(n, m)))
-    prob = ControlProblem(sys_, rng.normal(size=n), float(rng.uniform(0.5, 4.0)))
+    prob = shifted_plant_problem(rng, stable)
     dp = build_discrete(prob, N)
+    n, m = dp.n, dp.m
     z = rng.uniform(0.0, 1.0, size=2 * m * N)
     want = stepped_in_longdouble(dp, prob.x0, z)
     got = simulate(dp, prob.x0, z)
     assert got.shape == (N + 1, n) and got.dtype == np.float64
     scale = max(1.0, float(np.max(np.abs(want))))
     assert float(np.max(np.abs(got - want))) <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SCAN_LENGTHS), st.booleans())
+def test_phi_blocks_are_shifted_powers(seed, N, stable):
+    # block k of Phi is Ad^(N-1-k) Bd; the reference multiplies by Ad once
+    # per step, in extended precision
+    dp = build_discrete(shifted_plant_problem(np.random.default_rng(seed), stable), N)
+    Ad = dp.Ad.astype(np.longdouble)
+    want = [dp.Bd.astype(np.longdouble)]
+    for _ in range(N - 1):
+        want.append(Ad @ want[-1])
+    want = np.hstack(want[::-1])
+    assert dp.Phi.shape == want.shape and dp.Phi.dtype == np.float64
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(dp.Phi - want))) <= 1e-10 * scale
 
 
 def test_simulate_leaves_its_inputs_alone():
