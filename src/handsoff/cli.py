@@ -23,15 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dca import (
-    ControlSignal,
-    DcaConfig,
-    bang_off_bang_deviation,
-    checked_lp,
-    l0_measure,
-    recombine,
-    run_dca,
-)
+from .dca import ControlSignal, DcaConfig, DcaResult, l0_measure, l1_result, run_dca, solve_l1
 from .errors import (
     AssumptionViolationError,
     HandsOffError,
@@ -39,7 +31,6 @@ from .errors import (
     NumericalError,
     SizeError,
 )
-from .lp import LpProblem, solve_lp
 from .oracle import (
     CertificateTolerances,
     brute_force_l0,
@@ -153,13 +144,19 @@ def _dataclass_from_config(doc: dict, key: str, cls, **flags):
         raise ConfigError(f"bad {key} config: {exc}") from exc
 
 
-def _number(sub: dict, key: str, section: str, kind=float):
-    """``kind(sub[key])``; a ConfigError naming ``section.key`` if that fails."""
+def _number(sub: dict, key: str, section: str | None, kind=float):
+    """``kind(sub[key])``; a ConfigError naming ``section.key`` (``key`` at
+    the top level) if that fails, or if ``int`` would truncate the value."""
+    raw = _require(sub, key)
     try:
-        return kind(sub[key])
+        val = kind(raw)
+        if kind is int and val != float(raw):
+            raise ValueError
+        return val
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{section}.{key} must be {what}, got {sub[key]!r}") from None
+        name = key if section is None else f"{section}.{key}"
+        raise ConfigError(f"{name} must be {what}, got {raw!r}") from None
 
 
 def _penalties_from_config(doc: dict, inline: str | None, *, want_list: bool):
@@ -186,7 +183,11 @@ def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
         raise ConfigError("config key 'oracle' must be a mapping")
     delta = T / N
     if "planted" in sub:
-        arr = np.asarray(sub["planted"], dtype=float)
+        try:
+            arr = np.asarray(sub["planted"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("oracle.planted must be a flat or N x m array of "
+                              f"numbers, got {sub['planted']!r}") from None
         if arr.ndim == 1:
             if system.m != 1 or arr.shape[0] != N:
                 raise ConfigError("flat 'planted' requires m = 1 and length N")
@@ -196,7 +197,7 @@ def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
         spec = sub["random_planted"]
         if not isinstance(spec, dict) or "support_size" not in spec:
             raise ConfigError("'random_planted' must be a mapping with 'support_size'")
-        k = int(spec["support_size"])
+        k = _number(spec, "support_size", "oracle.random_planted", int)
         if not 0 <= k <= N * system.m:
             raise ConfigError(f"support_size must lie in [0, {N * system.m}]")
         rng = np.random.default_rng(0 if seed is None else seed)
@@ -218,11 +219,7 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[ControlProblem, i
                               np.asarray(sysdoc["B"], dtype=float))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad system matrices: {exc}") from exc
-    try:
-        T = float(_require(doc, "T"))
-        N = int(_require(doc, "N"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"T must be a number and N an integer: {exc}") from exc
+    T, N = _number(doc, "T", None), _number(doc, "N", None, int)
     if N < 1:
         raise ConfigError(f"N must be at least 1, got {N}")
     planted = _planted_from_config(doc, system, T, N, seed)
@@ -320,16 +317,17 @@ def _case(args, *, single: bool, tols: bool = False) -> Case:
 
 
 def _outputs(case: Case, tols: CertificateTolerances | None):
-    """``outputs(z, u, text=True)`` -> (trajectory text or None, certificate
-    report or None) of the control with split ``z`` and samples
-    ``u = recombine(z, ...)``.  The certificate runs on each call, given
-    ``tols`` and the double integrator.  Simulate and format run once per
-    distinct ``z`` (bit for bit): many penalties often stop at one vertex."""
+    """``outputs(result, text=True)`` -> (trajectory text or None, certificate
+    report or None) of a result's control.  The certificate runs on each
+    call, given ``tols`` and the double integrator.  Simulate and format run
+    once per distinct ``z_star`` (bit for bit): many penalties often stop at
+    one vertex."""
     dp, x0 = case.dp, case.problem.x0
     certify = tols is not None and _is_double_integrator(case.problem.system)
     shared: dict[bytes, list] = {}
 
-    def outputs(z, u, text=True):
+    def outputs(result: DcaResult, text=True):
+        z, u = result.z_star, result.u_star
         entry = shared.setdefault(z.tobytes(), [None, None])
         if entry[0] is None:
             entry[0] = simulate(dp, x0, z)
@@ -359,23 +357,27 @@ def _attempt(label: str, fn) -> tuple[dict, int]:
         return {"status": outcome.status}, outcome.exit_code
 
 
-def _solve_and_write(case: Case, outputs, pen: Penalty, start, suffix: str, seed):
-    """Run the DC iteration for ``pen`` and write trajectory<suffix>.csv and
-    summary<suffix>.json; returns the result and the certificate report."""
+def _run_fields(result: DcaResult) -> dict:
+    """The fields that a comparison row, a summary and an oracle run all report."""
+    return {"l0": result.l0, "iterations": result.iterations,
+            "lp_solves": result.lp_solves, "bob_deviation": result.bob_deviation}
+
+
+def _solve_and_write(case: Case, outputs, pen: Penalty, l1, suffix: str, seed):
+    """Run the DC iteration for ``pen`` from the l1 solution ``l1`` (or None),
+    write trajectory<suffix>.csv and summary<suffix>.json; returns the result
+    and the certificate report."""
     t0 = time.perf_counter()
-    result = run_dca(case.dp, pen, case.cfg, start)
+    result = run_dca(case.dp, pen, case.cfg, l1)
     wall = time.perf_counter() - t0
-    text, report = outputs(result.z_star, result.u_star)
+    text, report = outputs(result)
     write_trajectory_csv(case.outdir / f"trajectory{suffix}.csv", text)
     write_json(case.outdir / f"summary{suffix}.json", {
+        **_run_fields(result),
         "penalty": penalty_label(pen),
         "kind": pen.kind,
-        "iterations": result.iterations,
-        "lp_solves": result.lp_solves,
         "cost_history": list(result.cost_history),
-        "l0": result.l0,
         "feas_residual": result.feas_residual,
-        "bob_deviation": result.bob_deviation,
         "complementarity_violation": result.complementarity_violation,
         "stop_reason": result.stop_reason,
         "max_kkt_residual": result.max_kkt_residual,
@@ -400,16 +402,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _solve_l1(dp, cfg_dca: DcaConfig):
-    """The plain l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1.
-
-    Its ``start`` (its optimal basis) starts every ``run_dca`` of a command,
-    so each run's result does not depend on the runs before it, and under
-    ``warm_start: "l1"`` each run's own l1 LP makes no pivots.
-    """
-    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta), tol=cfg_dca.lp_tol)
-
-
 def _comparison_table(path, rows) -> None:
     cols = ["penalty", "status", "l0", "J_d", "c", "iterations", "lp_solves",
             "bob_deviation", "certificate"]
@@ -425,23 +417,21 @@ def cmd_compare(args) -> int:
     case = _case(args, single=False, tols=True)
     dp = case.dp
     outputs = _outputs(case, case.tols)
-    l1 = _solve_l1(dp, case.cfg)
+    l1 = solve_l1(dp, case.cfg)  # the baseline row, and where every run starts
+
+    def row_fields(result, c, report):
+        return {**_run_fields(result), "J_d": result.cost_history[-1], "c": c,
+                "certificate": _verdict(report)}
 
     def baseline():
-        sol = checked_lp(l1, "the l1 baseline")
-        u = recombine(sol.z, dp.delta, dp.m)
-        text, report = outputs(sol.z, u)
+        result = l1_result(dp, case.cfg, l1)
+        text, report = outputs(result)
         write_trajectory_csv(case.outdir / "trajectory_l1.csv", text)
-        return {"l0": l0_measure(u), "J_d": sol.objective, "c": "", "iterations": 1,
-                "lp_solves": 1, "bob_deviation": bang_off_bang_deviation(u),
-                "certificate": _verdict(report)}
+        return row_fields(result, "", report)
 
     def row(pen, tag):
-        result, report = _solve_and_write(case, outputs, pen, l1.start, f"_{tag}", args.seed)
-        return {"l0": result.l0, "J_d": result.cost_history[-1],
-                "c": equivalence_constant(pen), "iterations": result.iterations,
-                "lp_solves": result.lp_solves, "bob_deviation": result.bob_deviation,
-                "certificate": _verdict(report)}
+        result, report = _solve_and_write(case, outputs, pen, l1, f"_{tag}", args.seed)
+        return row_fields(result, equivalence_constant(pen), report)
 
     fields, first_error = _attempt("l1 baseline", baseline)
     rows = [{"penalty": "l1", **fields}]
@@ -515,16 +505,15 @@ def cmd_oracle(args) -> int:
 
     outputs = _outputs(case, _dataclass_from_config(case.doc, "certificate",
                                                     CertificateTolerances))
-    start = _solve_l1(dp, case.cfg).start
+    l1 = solve_l1(dp, case.cfg)  # where every run starts
 
     def run(pen):
-        result = run_dca(dp, pen, case.cfg, start)
-        entry = {"l0": result.l0, "iterations": result.iterations,
-                 "lp_solves": result.lp_solves, "bob_deviation": result.bob_deviation}
+        result = run_dca(dp, pen, case.cfg, l1)
+        entry = _run_fields(result)
         if report["mode"] == "enumeration":
             entry["agrees"] = oracle_min is not None and abs(result.l0 - oracle_min) <= 1e-9
         else:
-            _, rep = outputs(result.z_star, result.u_star, text=False)
+            _, rep = outputs(result, text=False)
             entry["certificate"] = _verdict(rep)
             entry["certificate_report"] = dataclasses.asdict(rep)
         return entry

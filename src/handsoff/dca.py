@@ -8,9 +8,10 @@ LP with cost vector 1 - s; successive costs never increase.  The loop stops
 on a cost stall, a step stall, or the iteration cap, whichever fires first.
 Every LP of a run has the feasible set Phi z = -zeta, 0 <= z <= 1, so the
 simplex's phase 1 runs at most once per run, and not at all when the caller
-passes a basis of an earlier solve.  Each LP starts phase 2 from the basis
-the previous one ended on, so a step re-optimizes from the last vertex
-instead of walking back to it from the phase-1 basis.
+passes the solution of the plain l1 LP over that set (``solve_l1``).  Each LP
+starts phase 2 from the basis the previous one ended on, so a step
+re-optimizes from the last vertex instead of walking back to it from the
+phase-1 basis.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, LpStart, solve_lp
+from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, solve_lp
 from .penalty import Penalty, phi, phi_subgradient, validate_assumption
 from .system import DiscreteProblem
 
@@ -152,23 +153,51 @@ def checked_lp(sol: LpSolution, what: str) -> LpSolution:
     return sol
 
 
+def solve_l1(dp: DiscreteProblem, cfg: DcaConfig = DcaConfig()) -> LpSolution:
+    """The plain l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1, at
+    ``cfg.lp_tol``: the convex baseline and the ``"l1"`` warm start.  Its
+    status is unchecked; ``l1_result`` and ``run_dca`` check it."""
+    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta), tol=cfg.lp_tol)
+
+
+def l1_result(dp: DiscreteProblem, cfg: DcaConfig, l1: LpSolution) -> DcaResult:
+    """The l1 LP's solution ``l1`` measured as a one-LP run whose one cost
+    is J_d = sum of the clipped z."""
+    sol = checked_lp(l1, "the l1 baseline")
+    return _result(dp, cfg, sol.z, cost_history=[float(np.sum(np.clip(sol.z, 0.0, 1.0)))],
+                   feas_history=[sol.eq_residual], iterations=1, lp_solves=1,
+                   stop_reason=sol.status, max_kkt_residual=sol.kkt_residual)
+
+
+def _result(dp: DiscreteProblem, cfg: DcaConfig, z: np.ndarray, **run) -> DcaResult:
+    """The ``DcaResult`` of a run that ended on the vertex ``z``: its control,
+    l0 at ``cfg.l0_threshold``, bang-off-bang deviation, complementarity and
+    last residual, with the run's own record ``run`` for the other fields."""
+    m = dp.m
+    u_star = recombine(z, dp.delta, m)
+    vw = z.reshape(dp.N, 2 * m)
+    comp = float(np.max(np.minimum(vw[:, :m], vw[:, m:]), initial=0.0))
+    return DcaResult(z_star=z, u_star=u_star, l0=l0_measure(u_star, cfg.l0_threshold),
+                     feas_residual=run["feas_history"][-1], complementarity_violation=comp,
+                     bob_deviation=bang_off_bang_deviation(u_star), **run)
+
+
 def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
-            start: LpStart | None = None) -> DcaResult:
+            l1: LpSolution | None = None) -> DcaResult:
     """Iterate linearize-and-solve from the configured warm start.
 
     Warm starts: ``"zero"`` seeds only the first subgradient (the first LP
-    already lands on a feasible vertex); ``"l1"`` first minimizes sum(z) over
-    the feasible box, i.e. the plain l1-optimal discretized control.
+    already lands on a feasible vertex); ``"l1"`` starts from the vertex of
+    the plain l1 LP (``solve_l1``), which counts as one of the run's LPs.
 
     Every LP of the run shares dp's feasible set, so phase 1 runs at most
-    once: the first LP finds a feasible basis and every later one starts
-    phase 2 from the basis the LP before it ended on.  ``start`` (an
-    ``LpSolution.start`` for ``Phi z = -zeta`` at ``cfg.lp_tol``) skips
-    phase 1 altogether and starts the first LP from it.  Each LP is optimal at
-    ``cfg.lp_tol`` either way, but on ties the start may select another
-    optimal vertex and so another run.  Under ``"l1"`` a start from the l1
-    LP's own optimum, such as the one ``compare`` and ``oracle`` pass to
-    every run, gives the same result bit for bit as no start.
+    once, and each LP starts phase 2 from the basis the one before it ended
+    on.  ``l1``, the caller's ``solve_l1(dp, cfg)``, spares the run that LP
+    under ``"l1"`` (same result bit for bit) and phase 1 under ``"zero"``,
+    where the first LP starts from its basis and so, on ties, may end on
+    another optimal vertex.  A solution for another problem or
+    ``cfg.lp_tol`` is refused at the first LP with ``ParameterError``
+    (``DimensionError`` if its size differs).
 
     Raises ``AssumptionViolationError`` for an inadmissible penalty,
     ``InfeasibleProblemError`` (with the phase-1 certificate) when no
@@ -182,35 +211,27 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             f" (worst margin {report.worst_margin:.3e} at u={report.witness_u})",
             report=report,
         )
-    m, N = dp.m, dp.N
-    q = 2 * m * N
-    Aeq = dp.Phi
-    beq = -dp.zeta
-    feas_gate = 1e-8
+    if l1 is None and cfg.warm_start == "l1":
+        l1 = solve_l1(dp, cfg)
+    start = None if l1 is None else l1.start
 
     def _solve(c, what):
         nonlocal start
-        sol = solve_lp(LpProblem(c, Aeq, beq), tol=cfg.lp_tol, start=start)
+        sol = solve_lp(LpProblem(c, dp.Phi, -dp.zeta), tol=cfg.lp_tol, start=start)
         start = sol.start
         return checked_lp(sol, what)
 
-    lp_solves = 0
-    max_kkt = 0.0
     cost_history: list[float] = []
     feas_history: list[float] = []
-
     if cfg.warm_start == "l1":
-        sol = _solve(np.ones(q), "the l1 warm start")
-        lp_solves += 1
-        max_kkt = max(max_kkt, sol.kkt_residual)
-        z = sol.z
-        resid = sol.eq_residual
+        sol = checked_lp(l1, "the l1 warm start")
+        lp_solves, max_kkt, z, resid = 1, sol.kkt_residual, sol.z, sol.eq_residual
     else:
-        z = np.zeros(q)
-        resid = float(np.max(np.abs(Aeq @ z - beq)))
+        lp_solves, max_kkt, z = 0, 0.0, np.zeros(2 * dp.m * dp.N)
+        resid = float(np.max(np.abs(dp.Phi @ z + dp.zeta)))
 
     prev_cost = None
-    if resid <= feas_gate:  # track costs only along feasible iterates
+    if resid <= 1e-8:  # track costs only along feasible iterates
         prev_cost = cost_jd(pen, z)
         cost_history.append(prev_cost)
         feas_history.append(resid)
@@ -238,20 +259,6 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             stop_reason = "step_stall"
             break
 
-    u_star = recombine(z, dp.delta, m)
-    vw = z.reshape(N, 2 * m)
-    comp = float(np.max(np.minimum(vw[:, :m], vw[:, m:]), initial=0.0))
-    return DcaResult(
-        z_star=z,
-        u_star=u_star,
-        cost_history=cost_history,
-        iterations=iterations,
-        lp_solves=lp_solves,
-        l0=l0_measure(u_star, cfg.l0_threshold),
-        feas_residual=feas_history[-1],
-        complementarity_violation=comp,
-        bob_deviation=bang_off_bang_deviation(u_star),
-        stop_reason=stop_reason,
-        feas_history=feas_history,
-        max_kkt_residual=max_kkt,
-    )
+    return _result(dp, cfg, z, cost_history=cost_history, feas_history=feas_history,
+                   iterations=iterations, lp_solves=lp_solves, stop_reason=stop_reason,
+                   max_kkt_residual=max_kkt)

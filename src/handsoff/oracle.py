@@ -195,8 +195,10 @@ def brute_force_l0(dp: DiscreteProblem, eps: float = 1e-8) -> tuple[float, list[
     nvars = m * N
     if nvars > _MAX_ENUM_VARS:
         raise SizeError(f"m*N = {nvars} exceeds the enumeration cap {_MAX_ENUM_VARS}")
-    # One effective column per scalar sample: the w column is the exact
-    # negation of the v column, so Phi @ split(u) is linear in u.
+    # One effective column per scalar sample: the scan uses the v columns of
+    # Phi.  Bd discretizes [B, -B] as one matrix, so a w column is rounded on
+    # its own and may differ from the negated v column by an ulp or so (up to
+    # 3.3e-16 relative seen), far below eps.
     phi_u = dp.Phi.reshape(dp.n, N, 2 * m)[:, :, :m].reshape(dp.n, nvars)
     for k in range(nvars + 1):
         supports = np.array(list(itertools.combinations(range(nvars), k)), dtype=np.intp)

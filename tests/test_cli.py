@@ -32,6 +32,15 @@ BENCH = {
 }
 
 
+# A damped three-state plant with two inputs.  At N = 40 its l1 vertex has
+# three fractional samples, |u| = 0.083, 0.224 and 0.329.
+DAMPED = {
+    "system": {"A": [[-0.3, -0.137, -0.383], [0.137, -0.3, -0.338], [0.383, 0.338, -0.3]],
+               "B": [[-1.265, -0.623], [0.041, -2.325], [-0.219, -1.246]]},
+    "x0": [-0.227, -0.169, -0.098],
+}
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     doc = {**BENCH, **overrides}
     for key, val in list(doc.items()):
@@ -273,8 +282,9 @@ def test_compare_infeasible_problem(tmp_path):
 
 
 def count_lp_calls(monkeypatch):
-    """Wrap solve_lp where cli and dca bind it; returns the list of the
-    ``start`` arguments of every call, None for a call that runs phase 1."""
+    """Wrap solve_lp where dca binds it (the one module that solves LPs);
+    returns the list of the ``start`` arguments of every call, None for a
+    call that runs phase 1."""
     import handsoff.cli
     import handsoff.dca
 
@@ -285,8 +295,8 @@ def count_lp_calls(monkeypatch):
         starts.append(start)
         return original(problem, tol=tol, start=start)
 
-    for mod in (handsoff.cli, handsoff.dca):
-        monkeypatch.setattr(mod, "solve_lp", counting)
+    assert not hasattr(handsoff.cli, "solve_lp")
+    monkeypatch.setattr(handsoff.dca, "solve_lp", counting)
     return starts
 
 
@@ -299,7 +309,10 @@ def test_compare_runs_phase_1_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
     rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
-    assert len(starts) == sum(int(row[6]) for row in rows)  # lp_solves, l1 row included
+    # the one l1 LP, then each DC iteration's LP; under "l1" every row counts
+    # the l1 LP among its lp_solves, but no run solves it again
+    assert len(starts) == 1 + sum(int(row[5]) for row in rows[1:])  # iterations
+    assert sum(int(row[6]) for row in rows) == len(starts) + len(rows) - 1
     assert starts.count(None) == 1 and starts[0] is None
 
 
@@ -313,43 +326,47 @@ def test_oracle_runs_phase_1_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
     runs = json.loads((out / "oracle.json").read_text())["runs"]
-    assert len(starts) == 1 + sum(run["lp_solves"] for run in runs)  # the l1 LP up front
+    assert len(starts) == 1 + sum(run["iterations"] for run in runs)  # the l1 LP up front
     assert starts.count(None) == 1 and starts[0] is None
     assert all(run["certificate"] == "pass" for run in runs)
 
 
 def test_compare_l1_warm_starts_make_no_pivots(tmp_path, monkeypatch):
-    # Every run starts from the baseline's l1-optimal basis, so its own l1
-    # LP re-solves the baseline's objective from its optimum.
+    # Every run gets the baseline's l1 solution, so under "l1" no run solves
+    # the l1 LP again: a run's first LP is its first DC step, started from the
+    # baseline's optimal basis.
     import handsoff.cli
     import handsoff.dca
 
-    calls = []
+    events = []
     solve, run = handsoff.dca.solve_lp, handsoff.cli.run_dca
 
     def recording_solve(problem, tol=1e-9, start=None):
         sol = solve(problem, tol=tol, start=start)
-        calls.append(sol.iterations)
+        events.append((problem.c, start, sol))
         return sol
 
-    def marking_run(*args):
-        calls.append("run")
-        return run(*args)
+    def marking_run(dp, pen, cfg, l1):
+        events.append(l1)
+        return run(dp, pen, cfg, l1)
 
     monkeypatch.setattr(handsoff.dca, "solve_lp", recording_solve)
     monkeypatch.setattr(handsoff.cli, "run_dca", marking_run)
-    # a damped three-state plant with two inputs; from its phase-1 basis the
-    # l1 LP takes pivots (on the double integrator it takes none)
-    plant = {"A": [[-0.3, -0.137, -0.383], [0.137, -0.3, -0.338], [0.383, 0.338, -0.3]],
-             "B": [[-1.265, -0.623], [0.041, -2.325], [-0.219, -1.246]]}
-    cfg = write_config(tmp_path, system=plant, x0=[-0.227, -0.169, -0.098], N=40, penalty=[
+    # from its phase-1 basis the damped plant's l1 LP takes pivots (on the
+    # double integrator it takes none)
+    cfg = write_config(tmp_path, **DAMPED, N=40, penalty=[
         {"kind": "mcp", "lambda": 1.0, "alpha": 0.5},
         {"kind": "scad", "lambda": 0.25, "alpha": 3.0},
         {"kind": "l1l2", "lambda": 0.1},
     ])
     assert main(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
-    firsts = [calls[i + 1] for i, c in enumerate(calls) if c == "run"]
-    assert firsts == [0, 0, 0]
+    c, start, l1 = events[0]
+    assert np.all(c == 1.0) and start is None and l1.iterations > 0
+    solves = [e for e in events if isinstance(e, tuple)]
+    assert sum(bool(np.all(c == 1.0)) for c, _, _ in solves) == 1
+    runs = [i for i, e in enumerate(events) if e is l1]
+    assert len(runs) == 3
+    assert all(events[i + 1][1] is l1.start for i in runs)
 
 
 def without_wall_time(path):
@@ -426,19 +443,19 @@ def record_controls(monkeypatch):
     import handsoff.cli
 
     controls = {}
-    solve_l1, run_dca = handsoff.cli._solve_l1, handsoff.cli.run_dca
+    solve_l1, run_dca = handsoff.cli.solve_l1, handsoff.cli.run_dca
 
     def recording_l1(dp, cfg):
         sol = solve_l1(dp, cfg)
         controls["l1"] = sol.z
         return sol
 
-    def recording_run(dp, pen, cfg, start):
-        result = run_dca(dp, pen, cfg, start)
+    def recording_run(dp, pen, cfg, l1):
+        result = run_dca(dp, pen, cfg, l1)
         controls[pen.kind] = result.z_star
         return result
 
-    monkeypatch.setattr(handsoff.cli, "_solve_l1", recording_l1)
+    monkeypatch.setattr(handsoff.cli, "solve_l1", recording_l1)
     monkeypatch.setattr(handsoff.cli, "run_dca", recording_run)
     return controls
 
@@ -471,8 +488,8 @@ def test_oracle_certificate_mode_simulates_each_run_once(tmp_path, monkeypatch):
     controls = []
     run_dca = handsoff.cli.run_dca
 
-    def recording_run(dp, pen, cfg, start):
-        result = run_dca(dp, pen, cfg, start)
+    def recording_run(dp, pen, cfg, l1):
+        result = run_dca(dp, pen, cfg, l1)
         controls.append(result.z_star.tobytes())
         return result
 
@@ -539,6 +556,30 @@ def test_compare_rows_with_equal_controls_share_one_trajectory(tmp_path, monkeyp
             penalty, "ok", "1", c, "1", lp_solves, "pass"]
         assert float(row[3]) == pytest.approx(j_d, rel=1e-10)
         assert float(row[7]) == pytest.approx(bob, abs=1e-13)
+
+
+def test_compare_l1_row_is_measured_like_the_dc_rows(tmp_path, monkeypatch):
+    from handsoff.cli import _fmt
+
+    controls = record_controls(monkeypatch)
+    cfg = write_config(tmp_path, **DAMPED, N=40,
+                       penalty=[{"kind": "scad", "lambda": 0.25, "alpha": 3.0}],
+                       dca={"warm_start": "l1", "l0_threshold": 0.25})
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
+    rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert [(row[0].split()[0], row[1]) for row in rows] == [("l1", "ok"), ("scad", "ok")]
+
+    def support(tag, theta):  # delta times the trajectory's samples with |u| > theta
+        lines = (out / f"trajectory_{tag}.csv").read_text().splitlines()[2:-1]
+        u = np.array([[float(x) for x in ln.split(",")[1:3]] for ln in lines])
+        return 5.0 / 40 * np.count_nonzero(np.abs(u) > theta)
+
+    # both rows count at the threshold; at the default 1e-6 the l1 row would read more
+    assert float(rows[0][2]) == support("l1", 0.25) < support("l1", 1e-6)
+    assert float(rows[1][2]) == support("scad", 0.25)
+    # J_d is the objective on the clipped split, as for the DC rows
+    assert rows[0][3] == _fmt(np.sum(np.clip(controls["l1"], 0.0, 1.0)))
 
 
 ERROR_OUTCOMES = [
@@ -705,6 +746,17 @@ BAD_VALUES = [
      "tolerance 'value' must be a nonnegative number, got 'x'"),
     ("oracle", {"N": 200, "certificate": {"edge_window": "x"}},
      "tolerance 'edge_window' must be a nonnegative integer, got 'x'"),
+    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": "x"}}},
+     "oracle.random_planted.support_size must be an integer, got 'x'"),
+    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 1.5}}},
+     "oracle.random_planted.support_size must be an integer, got 1.5"),
+    ("oracle", {**PLANTED, "oracle": {"planted": [["x"], [0.0], [0.0], [0.0]]}},
+     "oracle.planted must be a flat or N x m array of numbers, "
+     "got [['x'], [0.0], [0.0], [0.0]]"),
+    ("oracle", {**PLANTED, "oracle": {"planted": [[1.0], [0.0, 0.0], [0.0], [0.0]]}},
+     "oracle.planted must be a flat or N x m array of numbers, "
+     "got [[1.0], [0.0, 0.0], [0.0], [0.0]]"),
+    ("solve", {"N": 8.7}, "N must be an integer, got 8.7"),
 ]
 
 

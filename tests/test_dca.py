@@ -13,8 +13,10 @@ from handsoff.dca import (
     checked_lp,
     cost_jd,
     l0_measure,
+    l1_result,
     recombine,
     run_dca,
+    solve_l1,
     split_control,
 )
 from handsoff.errors import (
@@ -25,7 +27,7 @@ from handsoff.errors import (
     NumericalError,
     ParameterError,
 )
-from handsoff.lp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, LpProblem, LpSolution, solve_lp
+from handsoff.lp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, LpSolution
 from handsoff.oracle import brute_force_l0, make_exact_instance
 from handsoff.penalty import Penalty, equivalence_constant
 from handsoff.system import ControlProblem, LinearSystem, build_discrete, double_integrator
@@ -45,11 +47,6 @@ def scalar_integrator_instance(planted):
 def benchmark_dp(N=40):
     prob = ControlProblem(double_integrator(), np.array([1.0, -1.0]), 5.0)
     return build_discrete(prob, N)
-
-
-def l1_start(dp):
-    """The l1 LP's optimal basis, as compare and oracle pass it to run_dca."""
-    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta)).start
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +160,24 @@ def test_lp_solve_accounting():
     assert res_l1.lp_solves == res_l1.iterations + 1
 
 
+def test_l1_result_measures_the_l1_vertex_like_a_run():
+    # a damped three-state, two-input plant whose l1 vertex has three
+    # fractional samples: |u| = 0.083, 0.224 and 0.329
+    plant = LinearSystem([[-0.3, -0.137, -0.383], [0.137, -0.3, -0.338], [0.383, 0.338, -0.3]],
+                         [[-1.265, -0.623], [0.041, -2.325], [-0.219, -1.246]])
+    dp = build_discrete(ControlProblem(plant, np.array([-0.227, -0.169, -0.098]), 5.0), 40)
+    cfg = DcaConfig(l0_threshold=0.25)
+    l1 = solve_l1(dp, cfg)
+    res = l1_result(dp, cfg, l1)
+    assert res.z_star is l1.z and (res.iterations, res.lp_solves) == (1, 1)
+    assert res.cost_history == [float(np.sum(np.clip(l1.z, 0.0, 1.0)))]
+    assert res.l0 == l0_measure(res.u_star, 0.25) < l0_measure(res.u_star)
+    assert res.feas_history == [res.feas_residual] == [l1.eq_residual]
+    infeasible = build_discrete(ControlProblem(double_integrator(), np.array([100.0, 0.0]), 1.0), 8)
+    with pytest.raises(InfeasibleProblemError):
+        l1_result(infeasible, cfg, solve_l1(infeasible, cfg))
+
+
 @pytest.mark.parametrize("pen", CATALOG, ids=lambda p: p.kind)
 def test_descent_and_nonnegativity(pen):
     res = run_dca(benchmark_dp(40), pen, DcaConfig(warm_start="l1"))
@@ -264,20 +279,22 @@ def count_phase1(monkeypatch):
 @pytest.mark.parametrize("warm_start", ["zero", "l1"])
 @pytest.mark.parametrize("pen", CATALOG, ids=lambda p: p.kind)
 def test_passed_start_gives_the_same_result(pen, warm_start):
-    # The l1 LP's optimal basis, as compare and oracle pass it.  Under "l1"
-    # the fresh run's own l1 LP ends on that basis too, so the runs agree bit
-    # for bit; under "zero" the first LP may pick another tied vertex.
+    # The l1 LP's solution, as compare and oracle pass it.  Under "l1" its
+    # vertex is the one the run would solve for itself, so the runs agree bit
+    # for bit; under "zero" the first LP starts from its basis and may pick
+    # another tied vertex than phase 1 would.
     dp = benchmark_dp(40)
     cfg = DcaConfig(warm_start=warm_start)
-    start = l1_start(dp)
-    basis, status = start.basis.copy(), start.status.copy()
-    shared = run_dca(dp, pen, cfg, start)
+    l1 = solve_l1(dp, cfg)
+    z, basis, status = l1.z.copy(), l1.start.basis.copy(), l1.start.status.copy()
+    shared = run_dca(dp, pen, cfg, l1)
     if warm_start == "l1":
         assert_same(shared, run_dca(dp, pen, cfg))
     else:
         assert shared.feas_residual <= 1e-8 and max(shared.feas_history) <= 1e-8
         assert np.all(np.diff(shared.cost_history) <= 1e-9)
-    assert np.array_equal(start.basis, basis) and np.array_equal(start.status, status)
+    assert np.array_equal(l1.z, z)
+    assert np.array_equal(l1.start.basis, basis) and np.array_equal(l1.start.status, status)
 
 
 def test_run_dca_runs_phase_1_once(monkeypatch):
@@ -285,8 +302,11 @@ def test_run_dca_runs_phase_1_once(monkeypatch):
     dp = benchmark_dp(40)
     res = run_dca(dp, Penalty("mcp", 1.0, alpha=0.5), DcaConfig(warm_start="l1"))
     assert res.lp_solves >= 2 and len(calls) == 1
-    run_dca(dp, Penalty("scad", 0.25, alpha=3.0), DcaConfig(warm_start="l1"), l1_start(dp))
-    assert len(calls) == 1
+    l1 = solve_l1(dp)
+    assert len(calls) == 2
+    for warm_start in ("zero", "l1"):
+        run_dca(dp, Penalty("scad", 0.25, alpha=3.0), DcaConfig(warm_start=warm_start), l1)
+    assert len(calls) == 2
 
 
 def test_each_lp_starts_from_the_basis_the_last_one_ended_on(monkeypatch):
@@ -315,11 +335,16 @@ def test_each_lp_starts_from_the_basis_the_last_one_ended_on(monkeypatch):
 
 
 def test_start_for_another_problem_is_refused():
-    start = l1_start(benchmark_dp(20))
+    l1 = solve_l1(benchmark_dp(20))
     with pytest.raises(ParameterError):
-        run_dca(benchmark_dp(30), Penalty("l1l2", 0.1), DcaConfig(), start)
+        run_dca(benchmark_dp(30), Penalty("l1l2", 0.1), DcaConfig(), l1)
+    for warm_start in ("zero", "l1"):
+        with pytest.raises(ParameterError):
+            run_dca(benchmark_dp(20), Penalty("l1l2", 0.1),
+                    DcaConfig(lp_tol=1e-8, warm_start=warm_start), l1)
+    moved = build_discrete(ControlProblem(double_integrator(), np.array([0.5, -1.0]), 5.0), 20)
     with pytest.raises(ParameterError):
-        run_dca(benchmark_dp(20), Penalty("l1l2", 0.1), DcaConfig(lp_tol=1e-8), start)
+        run_dca(moved, Penalty("l1l2", 0.1), DcaConfig(warm_start="l1"), l1)
 
 
 def test_checked_lp_maps_statuses():
