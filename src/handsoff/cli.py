@@ -149,10 +149,9 @@ def _number(sub: dict, key: str, section: str | None, kind=float):
     the top level) if that fails, or if ``int`` would truncate the value."""
     raw = _require(sub, key)
     try:
-        val = kind(raw)
-        if kind is int and val != float(raw):
+        if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError
-        return val
+        return kind(raw)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         name = key if section is None else f"{section}.{key}"

@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, solve_lp
+from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, LpStart, solve_lp
 from .penalty import Penalty, phi, phi_subgradient, validate_assumption
 from .system import DiscreteProblem
 
@@ -153,11 +153,13 @@ def checked_lp(sol: LpSolution, what: str) -> LpSolution:
     return sol
 
 
-def solve_l1(dp: DiscreteProblem, cfg: DcaConfig = DcaConfig()) -> LpSolution:
+def solve_l1(dp: DiscreteProblem, cfg: DcaConfig = DcaConfig(),
+             start: LpStart | None = None) -> LpSolution:
     """The plain l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1, at
-    ``cfg.lp_tol``: the convex baseline and the ``"l1"`` warm start.  Its
-    status is unchecked; ``l1_result`` and ``run_dca`` check it."""
-    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta), tol=cfg.lp_tol)
+    ``cfg.lp_tol`` from ``start``: the convex baseline and the ``"l1"`` warm
+    start.  Its status is unchecked; ``l1_result`` and ``run_dca`` check it."""
+    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta),
+                    tol=cfg.lp_tol, start=start)
 
 
 def l1_result(dp: DiscreteProblem, cfg: DcaConfig, l1: LpSolution) -> DcaResult:
@@ -187,17 +189,18 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
     """Iterate linearize-and-solve from the configured warm start.
 
     Warm starts: ``"zero"`` seeds only the first subgradient (the first LP
-    already lands on a feasible vertex); ``"l1"`` starts from the vertex of
-    the plain l1 LP (``solve_l1``), which counts as one of the run's LPs.
+    already lands on a feasible vertex); ``"l1"`` first solves the plain l1
+    LP (``solve_l1``), which counts as one of the run's LPs.
 
     Every LP of the run shares dp's feasible set, so phase 1 runs at most
     once, and each LP starts phase 2 from the basis the one before it ended
-    on.  ``l1``, the caller's ``solve_l1(dp, cfg)``, spares the run that LP
-    under ``"l1"`` (same result bit for bit) and phase 1 under ``"zero"``,
-    where the first LP starts from its basis and so, on ties, may end on
-    another optimal vertex.  A solution for another problem or
-    ``cfg.lp_tol`` is refused at the first LP with ``ParameterError``
-    (``DimensionError`` if its size differs).
+    on.  ``l1``, the caller's ``solve_l1(dp, cfg)``, spares the run phase 1:
+    its first LP starts from that basis.  Under ``"l1"`` that LP makes no
+    pivots and returns ``l1``'s vertex, so the result is the same bit for
+    bit; under ``"zero"``, on ties, the first DC step may end on another
+    optimal vertex.  A solution for another problem or ``cfg.lp_tol`` is
+    refused at the first LP with ``ParameterError`` (``DimensionError`` if
+    its size differs).
 
     Raises ``AssumptionViolationError`` for an inadmissible penalty,
     ``InfeasibleProblemError`` (with the phase-1 certificate) when no
@@ -211,8 +214,6 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             f" (worst margin {report.worst_margin:.3e} at u={report.witness_u})",
             report=report,
         )
-    if l1 is None and cfg.warm_start == "l1":
-        l1 = solve_l1(dp, cfg)
     start = None if l1 is None else l1.start
 
     def _solve(c, what):
@@ -224,8 +225,8 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
     cost_history: list[float] = []
     feas_history: list[float] = []
     if cfg.warm_start == "l1":
-        sol = checked_lp(l1, "the l1 warm start")
-        lp_solves, max_kkt, z, resid = 1, sol.kkt_residual, sol.z, sol.eq_residual
+        sol = checked_lp(solve_l1(dp, cfg, start), "the l1 warm start")
+        lp_solves, max_kkt, z, resid, start = 1, sol.kkt_residual, sol.z, sol.eq_residual, sol.start
     else:
         lp_solves, max_kkt, z = 0, 0.0, np.zeros(2 * dp.m * dp.N)
         resid = float(np.max(np.abs(dp.Phi @ z + dp.zeta)))

@@ -309,10 +309,9 @@ def test_compare_runs_phase_1_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
     rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
-    # the one l1 LP, then each DC iteration's LP; under "l1" every row counts
-    # the l1 LP among its lp_solves, but no run solves it again
-    assert len(starts) == 1 + sum(int(row[5]) for row in rows[1:])  # iterations
-    assert sum(int(row[6]) for row in rows) == len(starts) + len(rows) - 1
+    # the baseline's l1 LP, then under "l1" each run's own l1 LP and its DC steps
+    assert len(starts) == sum(int(row[6]) for row in rows)  # lp_solves, l1 row included
+    assert len(starts) == len(rows) + sum(int(row[5]) for row in rows[1:])  # 1 + P + iterations
     assert starts.count(None) == 1 and starts[0] is None
 
 
@@ -326,15 +325,14 @@ def test_oracle_runs_phase_1_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
     runs = json.loads((out / "oracle.json").read_text())["runs"]
-    assert len(starts) == 1 + sum(run["iterations"] for run in runs)  # the l1 LP up front
+    assert len(starts) == 1 + sum(run["lp_solves"] for run in runs)  # the l1 LP up front
     assert starts.count(None) == 1 and starts[0] is None
     assert all(run["certificate"] == "pass" for run in runs)
 
 
 def test_compare_l1_warm_starts_make_no_pivots(tmp_path, monkeypatch):
-    # Every run gets the baseline's l1 solution, so under "l1" no run solves
-    # the l1 LP again: a run's first LP is its first DC step, started from the
-    # baseline's optimal basis.
+    # Every run gets the baseline's l1 solution, so under "l1" its own l1 LP
+    # re-solves the baseline's objective from the baseline's optimum.
     import handsoff.cli
     import handsoff.dca
 
@@ -362,11 +360,12 @@ def test_compare_l1_warm_starts_make_no_pivots(tmp_path, monkeypatch):
     assert main(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
     c, start, l1 = events[0]
     assert np.all(c == 1.0) and start is None and l1.iterations > 0
-    solves = [e for e in events if isinstance(e, tuple)]
-    assert sum(bool(np.all(c == 1.0)) for c, _, _ in solves) == 1
     runs = [i for i, e in enumerate(events) if e is l1]
     assert len(runs) == 3
-    assert all(events[i + 1][1] is l1.start for i in runs)
+    for i in runs:
+        c, start, sol = events[i + 1]
+        assert np.all(c == 1.0) and start is l1.start
+        assert sol.iterations == 0 and np.array_equal(sol.z, l1.z)
 
 
 def without_wall_time(path):
@@ -767,6 +766,14 @@ def test_bad_config_value_is_a_configuration_error(tmp_path, capsys, command, ov
     capsys.readouterr()
     assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_integer_fields_keep_integers_beyond_float_precision():
+    from handsoff.cli import _number
+
+    big = 2**53 + 1  # not a float; float(big) rounds to 2**53
+    assert _number({"N": big}, "N", None, int) == big
+    assert _number({"N": 8.0}, "N", None, int) == 8
 
 
 def test_oracle_size_error_comes_before_the_certificate(tmp_path):
