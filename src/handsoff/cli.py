@@ -219,6 +219,8 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[ControlProblem, i
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad system matrices: {exc}") from exc
     T, N = _number(doc, "T", None), _number(doc, "N", None, int)
+    if not np.isfinite(T) or T <= 0:
+        raise ConfigError(f"T must be positive and finite, got {T}")
     if N < 1:
         raise ConfigError(f"N must be at least 1, got {N}")
     planted = _planted_from_config(doc, system, T, N, seed)

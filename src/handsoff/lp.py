@@ -6,11 +6,16 @@ Problems have the fixed form
     subject to  Aeq @ z = beq,    0 <= z <= 1.
 
 The equality-row count equals the state dimension of the control problems
-this package builds (single digits), so the basis is solved from scratch
-after every basis change rather than updated; at that scale the dense solve
-is cheaper than bookkeeping.  Because every variable is boxed the problem is
-never unbounded, and every optimum returned is a vertex: at most one basic
-variable per row sits strictly between its bounds.
+this package builds (one to about ten), so the basis is kept as a dense
+inverse.  Each basis change updates it by one rank-1 eta step, the
+product-form update of Dantzig and Orchard-Hays, and the basic values are
+carried by the step.  Every ``_REFACTOR_EVERY`` (32) basis changes, after
+every run of box flips, and before a pass returns, the basis is refactored:
+the basic values and the duals are solved from scratch.  What ``solve_lp``
+returns, and checks against its tolerance, is therefore always the fresh
+solve of the final basis, never a carried value.  Because every variable is
+boxed the problem is never unbounded, and every optimum returned is a
+vertex: at most one basic variable per row sits strictly between its bounds.
 
 Phase 1 starts from signed artificial columns and minimizes their sum; a
 positive optimum is returned as the infeasibility certificate.  Pricing is
@@ -57,6 +62,7 @@ NUMERICAL_FAILURE = "numerical_failure"
 _LOWER, _UPPER, _BASIC = 0, 1, 2
 _PIVOT_TOL = 1e-11
 _DEGEN_TOL = 1e-12
+_REFACTOR_EVERY = 32  # basis changes between fresh solves of the basis
 
 
 @dataclass
@@ -163,23 +169,24 @@ def _ratios(x_basic, dirw, blo, bup):
     return np.maximum(ratios, 0.0)
 
 
-def _flip_run(A, B, lower, upper, basis, status, order, x_basic, budget):
+def _flip_run(A, Binv, lower, upper, basis, status, order, x_basic, budget):
     """Flip the leading columns of ``order`` that the ratio test sends to
     their other bound, at most ``budget`` of them; return how many flipped.
 
     Flips leave the basis, and so the duals and the entering order, as they
     were, so the run needs no pricing.  Columns are solved for in blocks of
-    8, 16, 32, ...; within a block each flip is tested against the basic
-    values the flips before it leave behind.  The run stops before the first
-    column that would change the basis or make a degenerate step.  Blocks
-    start small because on plants with many rows most runs are a flip or
-    two, and solving for columns past the run's end is wasted.
+    8, 16, 32, ... through the basis inverse ``Binv``; within a block each
+    flip is tested against the basic values the flips before it leave
+    behind.  The run stops before the first column that would change the
+    basis or make a degenerate step.  Blocks start small because on plants
+    with many rows most runs are a flip or two, and solving for columns past
+    the run's end is wasted.
     """
     blo, bup = lower[basis], upper[basis]
     flips, size = 0, 8
     while flips < min(order.size, budget):
         J = order[flips:flips + min(size, budget - flips)]
-        D = np.linalg.solve(B, A[:, J]).T  # row i: column J[i]'s direction
+        D = (Binv @ A[:, J]).T  # row i: column J[i]'s direction
         D[status[J] == _UPPER] *= -1.0
         t_flip = upper[J] - lower[J]
         moved = np.cumsum(D * t_flip[:, None], axis=0)
@@ -199,15 +206,25 @@ def _flip_run(A, B, lower, upper, basis, status, order, x_basic, budget):
 def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
     """Pivot the current basis to optimality for objective c.
 
-    Each pass solves for the basic values and the duals from scratch, prices
-    every column and enters the one with the most negative reduced cost,
-    first index on ties (Bland's smallest index after a run of degenerate
-    pivots).  When that column's box is shorter than the ratio test's step it
-    flips to its other bound, and the pass goes on down the same entering
-    order (``_flip_run``), flipping every further column that the ratio test
-    sends to its other bound.  The first column that would change the basis
-    is left to the next pass, which re-prices and pivots on it.  Each flip
-    counts as one iteration.
+    A refactorization solves for the basic values and the duals from
+    scratch.  Between refactorizations the pivots carry them: the basis
+    inverse by one rank-1 eta step per basis change, the basic values by the
+    step, the duals as ``c_B @ Binv``, and each column's pricing sign (+1 at
+    its lower bound, -1 at its upper, 0 when basic or fixed) by the pivot.
+    The inverse itself is computed only when a pass pivots, so a solve that
+    makes no pivot costs just the two fresh solves.  The basis is refactored
+    every ``_REFACTOR_EVERY`` basis changes, after every flip run, and before
+    returning, so the returned ``x`` and duals always come from the fresh
+    solve of the final basis.
+
+    Each pass prices every column and enters the one with the most negative
+    reduced cost, first index on ties (Bland's smallest index after a run of
+    degenerate pivots).  When that column's box is shorter than the ratio
+    test's step it flips to its other bound, and the pass goes on down the
+    same entering order (``_flip_run``), flipping every further column that
+    the ratio test sends to its other bound.  The first column that would
+    change the basis is left to the next pass, which re-prices and pivots on
+    it.  Each flip counts as one iteration.
 
     Mutates ``basis`` and ``status`` in place.  Returns
     ``(outcome, x, duals, iterations)`` with outcome one of ``"optimal"``,
@@ -215,52 +232,69 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
     """
     n, qt = A.shape
     free = upper > lower
+    sgn = np.where(status == _LOWER, 1.0, -1.0)
+    sgn[(status == _BASIC) | ~free] = 0.0
     bland = False
     degen_run = 0
     bland_after = 3 * qt
     iters = 0
+    refactor = True
     while True:
-        B = A[:, basis]
-        x = np.where(status == _UPPER, upper, lower)
-        x[basis] = 0.0
-        try:
-            x_basic = np.linalg.solve(B, b - A @ x)
-            duals = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            return "singular", None, None, iters
-        x[basis] = x_basic
-        d = c - duals @ A
-        cand = (free & (status == _LOWER) & (d < -dual_tol)) | (
-            free & (status == _UPPER) & (d > dual_tol)
-        )
-        if not cand.any():
-            return "optimal", x, duals, iters
-        if bland:
-            j = int(np.flatnonzero(cand)[0])
+        if refactor:
+            B = A[:, basis]
+            x = np.where(status == _UPPER, upper, lower)
+            x[basis] = 0.0
+            try:
+                x_basic = np.linalg.solve(B, b - A @ x)
+                duals = np.linalg.solve(B.T, c[basis])
+            except np.linalg.LinAlgError:
+                return "singular", None, None, iters
+            Binv, changes, refactor = None, 0, False
         else:
-            viol = np.where(cand, np.abs(d), 0.0)
-            j = int(np.argmax(viol))
-        if iters >= max_iter:
-            return "iteration_limit", x, duals, iters
+            duals = c[basis] @ Binv
+        score = sgn * (c - duals @ A)  # negative where entering improves
+        if bland:
+            j = int(np.argmax(score < -dual_tol))
+        else:
+            j = int(np.argmin(score))
+        optimal = score[j] >= -dual_tol
+        if optimal or iters >= max_iter:
+            if Binv is not None:  # carried values: refactor first
+                refactor = True
+                continue
+            x[basis] = x_basic
+            return ("optimal" if optimal else "iteration_limit"), x, duals, iters
+        if Binv is None:
+            Binv = np.linalg.inv(B)
         iters += 1
         from_lower = status[j] == _LOWER
-        w = np.linalg.solve(B, A[:, j])
+        w = Binv @ A[:, j]
         dirw = w if from_lower else -w  # basic values move by -t * dirw
         ratios = _ratios(x_basic, dirw, lower[basis], upper[basis])
         t_basic = float(ratios.min()) if n else np.inf
         t_box = upper[j] - lower[j]
         flipped = t_box <= t_basic
+        step = t_box if flipped else t_basic
+        x_basic -= step * dirw
         if flipped:
             status[j] = _UPPER if from_lower else _LOWER
-            step = t_box
+            sgn[j] = -sgn[j]
         else:
             tie = ratios <= t_basic + _DEGEN_TOL
             tied = np.flatnonzero(tie)
             r = int(tied[np.argmin(basis[tied])])  # smallest variable index leaves
-            status[basis[r]] = _LOWER if dirw[r] > 0 else _UPPER
+            leaving = basis[r]
+            status[leaving] = _LOWER if dirw[r] > 0 else _UPPER
+            sgn[leaving] = (1.0 if dirw[r] > 0 else -1.0) if free[leaving] else 0.0
             basis[r] = j
             status[j] = _BASIC
-            step = t_basic
+            sgn[j] = 0.0
+            x_basic[r] = lower[j] + step if from_lower else upper[j] - step
+            piv = Binv[r] / w[r]
+            Binv -= np.outer(w, piv)
+            Binv[r] = piv
+            changes += 1
+            refactor = changes >= _REFACTOR_EVERY
         if step > _DEGEN_TOL:
             degen_run = 0
         else:
@@ -269,12 +303,16 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
                 bland = True
         if flipped and t_box > _DEGEN_TOL:
             # the duals, and so the entering order, are as they were
+            cand = score < -dual_tol
             cand[j] = False
             order = np.flatnonzero(cand)
             if not bland:
-                order = order[np.argsort(-np.abs(d[order]), kind="stable")]
-            iters += _flip_run(A, B, lower, upper, basis, status, order,
-                               x_basic - t_box * dirw, max_iter - iters)
+                order = order[np.argsort(score[order], kind="stable")]
+            flips = _flip_run(A, Binv, lower, upper, basis, status, order,
+                              x_basic, max_iter - iters)
+            sgn[order[:flips]] *= -1.0
+            iters += flips
+            refactor = True
 
 
 def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None) -> LpSolution:

@@ -756,6 +756,11 @@ BAD_VALUES = [
      "oracle.planted must be a flat or N x m array of numbers, "
      "got [[1.0], [0.0, 0.0], [0.0], [0.0]]"),
     ("solve", {"N": 8.7}, "N must be an integer, got 8.7"),
+    ("oracle", {**PLANTED, "T": -2, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
+     "T must be positive and finite, got -2.0"),
+    ("oracle", {**PLANTED, "T": 0, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
+     "T must be positive and finite, got 0.0"),
+    ("solve", {"T": -2}, "T must be positive and finite, got -2.0"),
 ]
 
 

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 import handsoff.lp
 from handsoff.errors import DimensionError, DomainError, ParameterError
@@ -436,3 +437,62 @@ def test_iteration_limit_cuts_a_flip_run(max_iter, outcome):
     assert np.array_equal(basis, [0])
     assert np.flatnonzero(status == _UPPER).tolist() == list(range(1, 1 + flips))
     assert x[0] == pytest.approx(0.5 - 0.01 * flips, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# basis inverse carried across pivots: many basis changes, several refactorizations
+
+def dense_lp(seed):
+    """A dense feasible set with 10 rows and 300 columns and a dense cost: a
+    cold solve makes 270 to 360 basis changes, a warm one under a perturbed
+    cost 50 to 90."""
+    A, b = boxed_lp(seed, 10, 300, "feasible")
+    return LpProblem(objectives(seed, 300)[0], A, b)
+
+
+def counting_basis_changes(monkeypatch, solve):
+    """``solve()`` and how many basis changes it made: each one is one
+    rank-1 update of the basis inverse (``np.outer``)."""
+    calls = []
+    outer = np.outer
+    with monkeypatch.context() as patch:
+        patch.setattr(handsoff.lp.np, "outer", lambda *a: calls.append(1) or outer(*a))
+        sol = solve()
+    return sol, len(calls)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_lps_match_highs_across_refactorizations(seed, monkeypatch):
+    p = dense_lp(seed)
+    perturbed = LpProblem(p.c + 0.3 * np.random.default_rng([seed, 2]).normal(size=p.c.size),
+                          p.Aeq, p.beq)
+    cold, cold_changes = counting_basis_changes(monkeypatch, lambda: solve_lp(p))
+    warm, warm_changes = counting_basis_changes(
+        monkeypatch, lambda: solve_lp(perturbed, start=cold.start))
+    assert cold_changes > 4 * handsoff.lp._REFACTOR_EVERY
+    assert warm_changes > handsoff.lp._REFACTOR_EVERY
+    for sol, prob in ((cold, p), (warm, perturbed)):
+        ref = linprog(prob.c, A_eq=prob.Aeq, b_eq=prob.beq, bounds=(0.0, 1.0), method="highs")
+        assert ref.status == 0
+        assert sol.status == OPTIMAL
+        assert sol.eq_residual <= 1e-9 and sol.kkt_residual <= 1e-9
+        assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+
+def test_returned_point_is_the_fresh_solve_of_the_final_basis(monkeypatch):
+    # Whatever the eta updates rounded along the way, z and the duals are
+    # np.linalg.solve on the basis the solve ended on, bit for bit.
+    p = dense_lp(0)
+    sol, changes = counting_basis_changes(monkeypatch, lambda: solve_lp(p))
+    assert sol.status == OPTIMAL and changes > 4 * handsoff.lp._REFACTOR_EVERY
+    n, q = p.Aeq.shape
+    A = np.hstack([p.Aeq, np.diag(np.where(p.beq < 0, -1.0, 1.0))])
+    basis, status = sol.start.basis, sol.start.status
+    upper = np.concatenate([np.ones(q), np.zeros(n)])  # artificials pinned in phase 2
+    x = np.where(status == _UPPER, upper, 0.0)
+    x[basis] = 0.0
+    B = A[:, basis]
+    x[basis] = np.linalg.solve(B, p.beq - A @ x)
+    duals = np.linalg.solve(B.T, np.concatenate([p.c, np.zeros(n)])[basis])
+    assert np.array_equal(sol.z, x[:q])
+    assert np.array_equal(sol.duals, duals)
