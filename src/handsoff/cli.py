@@ -15,6 +15,7 @@ field in summaries.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -251,9 +252,12 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=lambda x: x.tolist())
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj) -> str:
+    """Write obj as JSON to path; return that text, less its final newline."""
+    text = _json_text(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(obj) + "\n")
+        fh.write(text + "\n")
+    return text
 
 
 def trajectory_csv(signal: ControlSignal, states: np.ndarray) -> str:
@@ -523,8 +527,7 @@ def cmd_oracle(args) -> int:
                        **_attempt(penalty_label(pen), lambda: run(pen))[0]}
                       for pen in case.penalties]
 
-    write_json(case.outdir / "oracle.json", report)
-    print(_json_text(report))
+    print(write_json(case.outdir / "oracle.json", report))
     print(f"wrote {case.outdir / 'oracle.json'}")
     return EXIT_OK
 
@@ -564,7 +567,10 @@ def _outdir(args, doc: dict):
     return path
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call (not at import) and shared
+    by every later call in the process; ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="handsoff",
         description="Minimum-support control of linear systems on a zero-order-hold grid.",
@@ -599,8 +605,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "validate" and args.penalty is None and args.config is None:
         print("validate needs --penalty or --config", file=sys.stderr)
         return EXIT_CONFIG

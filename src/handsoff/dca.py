@@ -135,11 +135,12 @@ def bang_off_bang_deviation(u: ControlSignal) -> float:
     return float(np.max(np.minimum(a, np.abs(a - 1.0))))
 
 
-def checked_lp(sol: LpSolution, what: str) -> LpSolution:
+def checked_lp(sol: LpSolution, what: str, tol: float) -> LpSolution:
     """Return an optimal LP solution; raise for the other statuses.
 
     ``InfeasibleProblemError`` carries the phase-1 certificate;
-    ``NumericalError`` names the failed LP (``what``) and its residual.
+    ``NumericalError`` names the failed LP (``what``), its equality and KKT
+    residuals and the tolerance ``tol`` the solve held both to.
     """
     if sol.status == INFEASIBLE:
         raise InfeasibleProblemError(
@@ -148,8 +149,8 @@ def checked_lp(sol: LpSolution, what: str) -> LpSolution:
             certificate=sol.phase1_value,
         )
     if sol.status == NUMERICAL_FAILURE:
-        raise NumericalError(f"LP failure in {what} "
-                             f"(equality residual {sol.eq_residual:.3e})")
+        raise NumericalError(f"LP failure in {what} (equality residual {sol.eq_residual:.3e}, "
+                             f"KKT residual {sol.kkt_residual:.3e}, tolerance {tol:.3e})")
     return sol
 
 
@@ -165,7 +166,7 @@ def solve_l1(dp: DiscreteProblem, cfg: DcaConfig = DcaConfig(),
 def l1_result(dp: DiscreteProblem, cfg: DcaConfig, l1: LpSolution) -> DcaResult:
     """The l1 LP's solution ``l1`` measured as a one-LP run whose one cost
     is J_d = sum of the clipped z."""
-    sol = checked_lp(l1, "the l1 baseline")
+    sol = checked_lp(l1, "the l1 baseline", cfg.lp_tol)
     return _result(dp, cfg, sol.z, cost_history=[float(np.sum(np.clip(sol.z, 0.0, 1.0)))],
                    feas_history=[sol.eq_residual], iterations=1, lp_solves=1,
                    stop_reason=sol.status, max_kkt_residual=sol.kkt_residual)
@@ -220,12 +221,12 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
         nonlocal start
         sol = solve_lp(LpProblem(c, dp.Phi, -dp.zeta), tol=cfg.lp_tol, start=start)
         start = sol.start
-        return checked_lp(sol, what)
+        return checked_lp(sol, what, cfg.lp_tol)
 
     cost_history: list[float] = []
     feas_history: list[float] = []
     if cfg.warm_start == "l1":
-        sol = checked_lp(solve_l1(dp, cfg, start), "the l1 warm start")
+        sol = checked_lp(solve_l1(dp, cfg, start), "the l1 warm start", cfg.lp_tol)
         lp_solves, max_kkt, z, resid, start = 1, sol.kkt_residual, sol.z, sol.eq_residual, sol.start
     else:
         lp_solves, max_kkt, z = 0, 0.0, np.zeros(2 * dp.m * dp.N)

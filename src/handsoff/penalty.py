@@ -15,7 +15,8 @@ that converts the discrete objective into a support count on bang-off-bang
 signals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,7 +175,16 @@ def validate_assumption(pen: Penalty, grid_size: int = 1000, margin: float = 1e-
     input channel.  Evenness (A2) and the strict chord bounds (A3) are
     verified numerically; the report records the worst margin and the grid
     point attaining it.
+
+    Cached per process by the argument values; each call returns a fresh
+    report with its own ``violated`` list, which no later call shares.
     """
+    report = _grid_check(pen, grid_size, margin)
+    return replace(report, violated=list(report.violated))
+
+
+@lru_cache(maxsize=256)
+def _grid_check(pen: Penalty, grid_size: int, margin: float) -> AssumptionReport:
     if grid_size < 100:
         raise ParameterError(f"grid_size must be at least 100, got {grid_size}")
     if not np.isfinite(margin) or margin < 0:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from handsoff import cli
 from handsoff.cli import ConfigError, main
 from handsoff.dca import DcaConfig
 from handsoff.errors import (
@@ -686,7 +687,9 @@ def test_oracle_enumeration_with_planted(tmp_path, capsys):
     )
     out = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
-    report = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
+    text = (out / "oracle.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == text + f"wrote {out / 'oracle.json'}\n"
+    report = json.loads(text)
     assert report["mode"] == "enumeration"
     assert report["planted_support_measure"] == pytest.approx(1.0)
     assert report["oracle_min_l0"] is not None
@@ -785,6 +788,61 @@ def test_oracle_size_error_comes_before_the_certificate(tmp_path):
     cfg = write_config(tmp_path, system={"A": [[0.0]], "B": [[1.0]]},
                        x0=[1.0], N=20, T=5.0, certificate={"value": "x"})
     assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "o")]) == 5
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_flags_of_one_call_do_not_leak_into_the_next(tmp_path):
+    cfg = write_config(tmp_path, penalty={"kind": "scad", "lambda": 0.25, "alpha": 3.0},
+                       dca={"warm_start": "zero"})
+    flagged, plain = tmp_path / "flagged", tmp_path / "plain"
+    assert main(["solve", "--config", cfg, "--output", str(flagged), "--seed", "3",
+                 "--warm-start", "l1", "--penalty", "l1l2 lambda=0.1"]) == 0
+    first = read_summary(flagged)
+    assert (first["seed"], first["warm_start"], first["kind"]) == (3, "l1", "l1l2")
+    assert main(["solve", "--config", cfg, "--output", str(plain)]) == 0
+    second = read_summary(plain)
+    assert (second["seed"], second["warm_start"], second["kind"]) == (None, "zero", "scad")
+
+
+def run_snapshot(argv, outdir, capsys):
+    """Exit code, stdout, stderr and artifacts (summaries without wall time) of one call."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    files = {}
+    for path in sorted(outdir.iterdir()) if outdir.exists() else ():
+        files[path.name] = (without_wall_time(path) if path.name.startswith("summary")
+                            else path.read_bytes())
+    return code, out, err, files
+
+
+REPEATED_COMMANDS = [
+    ("solve", {}, []),
+    ("solve", {}, ["--penalty", "l1l2 lambda=1.0"]),
+    ("solve", {"x0": [100.0, 0.0], "T": 1.0, "N": 8}, []),
+    ("compare", {"N": 20, "penalty": [{"kind": "l1l2", "lambda": 0.1},
+                                      {"kind": "scad", "lambda": 0.25, "alpha": 3.0}]}, []),
+    ("oracle", {"N": 8, "T": 4.0, "x0": None,
+                "oracle": {"random_planted": {"support_size": 2}},
+                "penalty": [{"kind": "mcp", "lambda": 1.0, "alpha": 0.5}]}, ["--seed", "7"]),
+    ("validate", {}, ["--penalty", "capped_l1 lambda=0.8 alpha=1.0"]),
+]
+
+
+@pytest.mark.parametrize("command,overrides,flags", REPEATED_COMMANDS,
+                         ids=["solve", "solve-assumption", "solve-infeasible", "compare",
+                              "oracle", "validate"])
+def test_repeated_call_gives_the_same_result(tmp_path, capsys, command, overrides, flags):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--output", str(out), *flags]
+    first = run_snapshot(argv, out, capsys)
+    assert run_snapshot(argv, out, capsys) == first
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,10 @@ def test_inadmissible_penalty_raises_with_report():
         run_dca(benchmark_dp(10), Penalty("l1l2", 1.0))
     assert exc.value.report is not None
     assert exc.value.report.violated == ["A3"]
+    exc.value.report.violated.clear()  # the raised report is the caller's own copy
+    with pytest.raises(AssumptionViolationError) as again:
+        run_dca(benchmark_dp(10), Penalty("l1l2", 1.0))
+    assert again.value.report.violated == ["A3"]
 
 
 def test_iteration_cap():
@@ -349,11 +353,22 @@ def test_start_for_another_problem_is_refused():
 
 def test_checked_lp_maps_statuses():
     ok = LpSolution(np.zeros(1), 0.0, OPTIMAL, 0.0, 0.0, 0, np.zeros(1), 0.0)
-    assert checked_lp(ok, "x") is ok
+    assert checked_lp(ok, "x", 1e-9) is ok
     with pytest.raises(InfeasibleProblemError) as exc:
         checked_lp(LpSolution(np.zeros(1), 0.0, INFEASIBLE, 1.0, np.inf, 0,
-                              np.zeros(1), 0.25), "x")
+                              np.zeros(1), 0.25), "x", 1e-9)
     assert exc.value.certificate == 0.25
     with pytest.raises(NumericalError, match="LP failure in the test LP"):
         checked_lp(LpSolution(np.zeros(1), 0.0, NUMERICAL_FAILURE, 1.0, np.inf, 0,
-                              np.zeros(1), 0.0), "the test LP")
+                              np.zeros(1), 0.0), "the test LP", 1e-9)
+    # R2's failure: the equality test passed, the KKT test did not
+    with pytest.raises(NumericalError) as exc:
+        checked_lp(LpSolution(np.zeros(1), 0.0, NUMERICAL_FAILURE, 0.0, 1.057e-9, 3,
+                              np.zeros(1), 0.0), "iteration 1", 1e-9)
+    assert str(exc.value) == ("LP failure in iteration 1 (equality residual 0.000e+00, "
+                              "KKT residual 1.057e-09, tolerance 1.000e-09)")
+    with pytest.raises(NumericalError) as exc:
+        checked_lp(LpSolution(np.zeros(1), 0.0, NUMERICAL_FAILURE, 2.5e-7, 4e-12, 3,
+                              np.zeros(1), 0.0), "the l1 baseline", 1e-8)
+    assert str(exc.value) == ("LP failure in the l1 baseline (equality residual 2.500e-07, "
+                              "KKT residual 4.000e-12, tolerance 1.000e-08)")

@@ -194,6 +194,56 @@ def test_validate_rejects_small_grid():
         validate_assumption(Penalty("l1l2", 0.6), grid_size=10)
 
 
+# the crafted A3 violations of acceptance criterion 5
+CRAFTED = [Penalty("l1l2", 1.0), Penalty("capped_l1", 0.8, alpha=1.0)]
+
+
+def _pen_id(p):
+    return f"{p.kind}-{p.lam:.4g}-{p.alpha}"
+
+
+@pytest.mark.parametrize("pen", CATALOG + CRAFTED, ids=_pen_id)
+def test_repeated_validation_returns_equal_fresh_reports(pen):
+    first, second = validate_assumption(pen), validate_assumption(pen)
+    assert first == second
+    assert first is not second and first.violated is not second.violated
+
+
+@pytest.mark.parametrize("pen", CATALOG + CRAFTED, ids=_pen_id)
+def test_changing_a_report_leaves_the_next_one_alone(pen):
+    report = validate_assumption(pen)
+    expected = (report.passed, list(report.violated), report.worst_margin)
+    report.violated.append("A9")
+    report.passed, report.worst_margin = not report.passed, -1.0
+    again = validate_assumption(pen)
+    assert (again.passed, again.violated, again.worst_margin) == expected
+
+
+# phi = lam*u^2 for l1l2: the chord slack lam*u*(1 - u) is least at u = 1/grid_size.
+# Each case uses its own lambda, so it starts with nothing cached for its penalty.
+@pytest.mark.parametrize("lam,margins", [(0.31, (1e-12, 1e-2)), (0.32, (1e-2, 1e-12))],
+                         ids=["default-first", "large-first"])
+def test_each_margin_gets_its_own_report(lam, margins):
+    pen = Penalty("l1l2", lam)
+    reports = {margin: validate_assumption(pen, margin=margin) for margin in margins}
+    assert reports[1e-12].passed and reports[1e-12].violated == []
+    assert not reports[1e-2].passed and reports[1e-2].violated == ["A3"]
+    for rep in reports.values():
+        assert rep.worst_margin == pytest.approx(lam * 1e-3 * (1.0 - 1e-3), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam,grid_sizes", [(0.41, (100, 1000)), (0.42, (1000, 100))],
+                         ids=["coarse-first", "fine-first"])
+def test_each_grid_size_gets_its_own_report(lam, grid_sizes):
+    pen = Penalty("l1l2", lam)
+    reports = {g: validate_assumption(pen, grid_size=g, margin=1e-3) for g in grid_sizes}
+    assert reports[100].passed and reports[100].violated == []
+    assert not reports[1000].passed and reports[1000].violated == ["A3"]
+    for g, rep in reports.items():
+        assert rep.grid_size == g
+        assert rep.worst_margin == pytest.approx(lam / g * (1.0 - 1.0 / g), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # grid properties
 
