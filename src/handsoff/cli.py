@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -36,7 +37,7 @@ from .oracle import (
     CertificateTolerances,
     brute_force_l0,
     double_integrator_certificate,
-    make_exact_instance,
+    exact_instance,
 )
 from .penalty import KINDS, Penalty, equivalence_constant, validate_assumption
 from .system import (
@@ -208,9 +209,11 @@ def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
     return None
 
 
-def _problem_from_config(doc: dict, seed: int | None) -> tuple[ControlProblem, int, ControlSignal | None]:
-    """The problem, N, and the planted signal (None without one), read in
-    the order system, T and N, planted signal or x0."""
+def _problem_from_config(doc: dict, seed: int | None) -> tuple[
+        ControlProblem, DiscreteProblem | None, int, ControlSignal | None]:
+    """The problem, its discretization (None unless placing a planted x0
+    made one), N, and the planted signal (None without one), read in the
+    order system, T and N, planted signal or x0."""
     sysdoc = _require(doc, "system")
     if not isinstance(sysdoc, dict) or "A" not in sysdoc or "B" not in sysdoc:
         raise ConfigError("config key 'system' must be a mapping with 'A' and 'B'")
@@ -226,13 +229,14 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[ControlProblem, i
         raise ConfigError(f"N must be at least 1, got {N}")
     planted = _planted_from_config(doc, system, T, N, seed)
     if planted is not None:
-        return make_exact_instance(system, T, N, planted), N, planted
+        problem, dp = exact_instance(system, T, N, planted)
+        return problem, dp, N, planted
     x0doc = _require(doc, "x0")
     try:
         problem = ControlProblem(system, np.asarray(x0doc, dtype=float), T)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad x0/T: {exc}") from exc
-    return problem, N, None
+    return problem, None, N, None
 
 
 def _is_double_integrator(system: LinearSystem) -> bool:
@@ -252,11 +256,21 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=lambda x: x.tolist())
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, newlines untranslated.  An
+    existing file is written over in place and cut to length, not truncated
+    first, so a rewrite does not wait on the writeback that freeing its old
+    blocks starts (ext4's ``auto_da_alloc``); the inode, links and a new
+    file's mode are as under ``open(path, "w")``."""
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def write_json(path, obj) -> str:
     """Write obj as JSON to path; return that text, less its final newline."""
     text = _json_text(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_text(path, text + "\n")
     return text
 
 
@@ -286,8 +300,7 @@ def trajectory_csv(signal: ControlSignal, states: np.ndarray) -> str:
 
 def write_trajectory_csv(path, text: str) -> None:
     """Write a trajectory file's text (from ``trajectory_csv``)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +325,13 @@ def _case(args, *, single: bool, tols: bool = False) -> Case:
     ``tols``: read the certificate tolerances before making the output
     directory (``compare``; ``oracle`` reads them after its size check)."""
     doc = load_config(args.config)
-    problem, N, planted = _problem_from_config(doc, args.seed)
+    problem, dp, N, planted = _problem_from_config(doc, args.seed)
     penalties = _penalties_from_config(doc, args.penalty, want_list=not single)
     cfg = _dataclass_from_config(doc, "dca", DcaConfig, warm_start=args.warm_start)
     certificate = _dataclass_from_config(doc, "certificate", CertificateTolerances) if tols else None
     outdir = _outdir(args, doc)
     return Case(doc, problem, planted, penalties, cfg, certificate, outdir,
-                build_discrete(problem, N))
+                build_discrete(problem, N) if dp is None else dp)
 
 
 def _outputs(case: Case, tols: CertificateTolerances | None):
@@ -414,8 +427,7 @@ def _comparison_table(path, rows) -> None:
     for row in rows:
         cells = (row.get(col, "") for col in cols)
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_compare(args) -> int:

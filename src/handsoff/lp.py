@@ -13,9 +13,10 @@ carried by the step.  Every ``_REFACTOR_EVERY`` (32) basis changes, after
 every run of box flips, and before a pass returns, the basis is refactored:
 the basic values and the duals are solved from scratch.  What ``solve_lp``
 returns, and checks against its tolerance, is therefore always the fresh
-solve of the final basis, never a carried value.  Because every variable is
-boxed the problem is never unbounded, and every optimum returned is a
-vertex: at most one basic variable per row sits strictly between its bounds.
+solve of the final basis (possibly made by the call that produced the
+start), never a carried value.  Because every variable is boxed the problem
+is never unbounded, and every optimum returned is a vertex: at most one
+basic variable per row sits strictly between its bounds.
 
 Phase 1 starts from signed artificial columns and minimizes their sum; a
 positive optimum is returned as the infeasibility certificate.  Pricing is
@@ -41,11 +42,13 @@ reaches a feasible basis returns the basis it ended on as
 basis phase 2 began from.  Either is primal feasible for ``(Aeq, beq)`` and a
 new cost never breaks primal feasibility, so passing it back as
 ``solve_lp(..., start=...)`` skips phase 1 and starts phase 2 from a copy of
-it.  A chain of nearby objectives (the DC iteration) then re-optimizes from
-the previous optimum in a few pivots, and an objective re-solved from its own
-returned start makes none.  A warm solve is optimal at the same verified
-tolerance as a solve from scratch, but on ties it may return another optimal
-vertex.
+it.  The start holds the augmented matrix and the fresh point of its basis,
+so a warm solve neither rebuilds the one nor solves for the other; a cold
+solve's phase 2 likewise starts from phase 1's point.  A chain of nearby
+objectives (the DC iteration) then re-optimizes from the previous optimum
+in a few pivots, and an objective re-solved from its own returned start
+makes none.  A warm solve is optimal at the same verified tolerance as a
+solve from scratch, but on ties it may return another optimal vertex.
 """
 
 from dataclasses import dataclass
@@ -90,23 +93,26 @@ class LpStart:
     ``tol`` ended on: primal feasible, so reusable as the phase-2 start of
     any objective over that set.
 
-    ``basis`` and ``status`` are the augmented problem's basis and bound
-    statuses (columns of Aeq, then one artificial per row).  ``Aeq`` and
-    ``beq`` are a private copy made when phase 1 ran, shared by every start
-    derived from it; nothing writes to any of the arrays, and ``solve_lp``
-    copies ``basis`` and ``status`` before pivoting.
+    ``A`` is the augmented matrix ``[Aeq | diag(signs)]``, one signed
+    artificial column per row, and ``beq`` a private copy; both are made when
+    phase 1 ran and shared by every start derived from it.  ``basis`` and
+    ``status`` index ``A``'s columns, and ``x`` is the fresh solve of that
+    basis.  Nothing writes to any of the arrays; ``solve_lp`` copies
+    ``basis``, ``status`` and ``x`` before pivoting.
     """
 
-    Aeq: np.ndarray
+    A: np.ndarray
     beq: np.ndarray
     tol: float
     phase1_value: float
     basis: np.ndarray
     status: np.ndarray
+    x: np.ndarray
 
     def matches(self, problem: LpProblem, tol: float) -> bool:
         """Whether this start was built for ``problem``'s feasible set at ``tol``."""
-        return (self.tol == tol and np.array_equal(self.Aeq, problem.Aeq)
+        Aeq = self.A[:, :-self.beq.size]  # shape compared too: no prefix matches
+        return (self.tol == tol and np.array_equal(Aeq, problem.Aeq)
                 and np.array_equal(self.beq, problem.beq))
 
 
@@ -203,16 +209,18 @@ def _flip_run(A, Binv, lower, upper, basis, status, order, x_basic, budget):
     return flips
 
 
-def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
+def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=None):
     """Pivot the current basis to optimality for objective c.
 
     A refactorization solves for the basic values and the duals from
-    scratch.  Between refactorizations the pivots carry them: the basis
-    inverse by one rank-1 eta step per basis change, the basic values by the
-    step, the duals as ``c_B @ Binv``, and each column's pricing sign (+1 at
-    its lower bound, -1 at its upper, 0 when basic or fixed) by the pivot.
-    The inverse itself is computed only when a pass pivots, so a solve that
-    makes no pivot costs just the two fresh solves.  The basis is refactored
+    scratch; the first one takes the basic values from a copy of
+    ``x_start``, the fresh solve of the starting basis, when given.  Between
+    refactorizations the pivots carry them: the basis inverse by one rank-1
+    eta step per basis change, the basic values by the step, the duals as
+    ``c_B @ Binv``, and each column's pricing sign (+1 at its lower bound, -1
+    at its upper, 0 when basic or fixed) by the pivot.  The inverse itself is
+    computed only when a pass pivots, so a solve that makes no pivot costs
+    just the two fresh solves (one with ``x_start``).  The basis is refactored
     every ``_REFACTOR_EVERY`` basis changes, after every flip run, and before
     returning, so the returned ``x`` and duals always come from the fresh
     solve of the final basis.
@@ -242,10 +250,14 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter):
     while True:
         if refactor:
             B = A[:, basis]
-            x = np.where(status == _UPPER, upper, lower)
-            x[basis] = 0.0
             try:
-                x_basic = np.linalg.solve(B, b - A @ x)
+                if x_start is None:
+                    x = np.where(status == _UPPER, upper, lower)
+                    x[basis] = 0.0
+                    x_basic = np.linalg.solve(B, b - A @ x)
+                else:
+                    x, x_start = x_start.copy(), None
+                    x_basic = x[basis]
                 duals = np.linalg.solve(B.T, c[basis])
             except np.linalg.LinAlgError:
                 return "singular", None, None, iters
@@ -337,8 +349,6 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
         raise ParameterError("start was built for another Aeq, beq or tol")
     n, q = problem.Aeq.shape
     r = problem.beq
-    signs = np.where(r < 0, -1.0, 1.0)
-    A = np.hstack([problem.Aeq, np.diag(signs)])
     lower = np.zeros(q + n)
     upper = np.ones(q + n)
     max_iter = 50 * (q + n) + 1000
@@ -353,6 +363,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
                           float("inf"), iters, y, phase1, start)
 
     if start is None:
+        A = np.hstack([problem.Aeq, np.diag(np.where(r < 0, -1.0, 1.0))])
         upper[q:] = float(np.sum(np.abs(r))) + 1.0
         status = np.full(q + n, _LOWER, dtype=np.int8)
         status[q:] = _BASIC
@@ -367,14 +378,15 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
             eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
             return LpSolution(z, float(problem.c @ z), INFEASIBLE, eq, float("inf"),
                               it1, duals.copy(), phase1)
-        start = LpStart(problem.Aeq.copy(), r.copy(), tol, phase1, basis.copy(), status.copy())
+        start = LpStart(A, r.copy(), tol, phase1, basis.copy(), status.copy(), x)
     else:
         it1 = 0
-        basis, status = start.basis.copy(), start.status.copy()
+        A, basis, status = start.A, start.basis.copy(), start.status.copy()
 
     upper[q:] = 0.0  # artificials pinned for phase 2
     c2 = np.concatenate([problem.c, np.zeros(n)])
-    out, x, duals, it2 = _simplex(A, r, c2, lower, upper, basis, status, dual_tol, max_iter)
+    out, x, duals, it2 = _simplex(A, r, c2, lower, upper, basis, status, dual_tol, max_iter,
+                                  start.x)
     if out != "optimal":
         return _failure(x, duals, it1 + it2)
     z = x[:q].copy()
@@ -382,7 +394,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
     kkt = kkt_residual(problem, z, duals)
     if eq <= tol and kkt <= tol:
         status_final = OPTIMAL
-        start = LpStart(start.Aeq, start.beq, tol, start.phase1_value, basis, status)
+        start = LpStart(start.A, start.beq, tol, start.phase1_value, basis, status, x)
     else:
         status_final = NUMERICAL_FAILURE
     return LpSolution(z, float(problem.c @ z), status_final, eq, kkt,

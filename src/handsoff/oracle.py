@@ -226,6 +226,13 @@ def make_exact_instance(system: LinearSystem, T: float, N: int, planted: Control
     Inverts the drift: x0 = -Ad^(-N) @ Phi @ split(planted), so the planted
     signal is feasible for the returned problem up to rounding.
     """
+    return exact_instance(system, T, N, planted)[0]
+
+
+def exact_instance(system: LinearSystem, T: float, N: int,
+                   planted: ControlSignal) -> tuple[ControlProblem, DiscreteProblem]:
+    """``make_exact_instance``'s problem and, from the same build, its
+    discretization: bit for bit ``build_discrete(problem, N)``."""
     vals = planted.samples
     if planted.N != N or planted.m != system.m:
         raise DimensionError(
@@ -240,5 +247,6 @@ def make_exact_instance(system: LinearSystem, T: float, N: int, planted: Control
             f"planted delta {planted.delta} does not match T/N = {dp.delta}"
         )
     rhs = dp.Phi @ split_control(planted)
-    x0 = -np.linalg.solve(np.linalg.matrix_power(dp.Ad, N), rhs)
-    return ControlProblem(system, x0, T)
+    drift = np.linalg.matrix_power(dp.Ad, N)
+    problem = ControlProblem(system, -np.linalg.solve(drift, rhs), T)
+    return problem, DiscreteProblem(dp.delta, N, dp.Ad, dp.Bd, dp.Phi, drift @ problem.x0)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -401,7 +402,9 @@ def test_compare_and_oracle_rows_equal_solve(tmp_path, config):
             k: solo[k] for k in ("l0", "iterations", "lp_solves", "bob_deviation")}
 
 
-def test_compare_discretizes_once(tmp_path, monkeypatch):
+def count_builds(monkeypatch):
+    """Wrap build_discrete where cli and oracle bind it; returns the list of
+    calls, one N per call."""
     import handsoff.cli
     import handsoff.oracle
 
@@ -414,9 +417,24 @@ def test_compare_discretizes_once(tmp_path, monkeypatch):
 
     for mod in (handsoff.cli, handsoff.oracle):
         monkeypatch.setattr(mod, "build_discrete", counting)
+    return built
+
+
+def test_compare_discretizes_once(tmp_path, monkeypatch):
+    built = count_builds(monkeypatch)
     cfg = write_config(tmp_path, N=40, penalty=[{"kind": "l1l2", "lambda": 0.1}])
     assert main(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
     assert built == [40]
+
+
+def test_planted_oracle_discretizes_once(tmp_path, monkeypatch):
+    # placing the planted x0 takes the one discretization the runs use
+    built = count_builds(monkeypatch)
+    cfg = write_config(tmp_path, N=8, T=4.0, x0=None,
+                       oracle={"planted": [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+                       penalty=[{"kind": "l1l2", "lambda": 0.1}])
+    assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+    assert built == [8]
 
 
 def count_simulate_calls(monkeypatch):
@@ -843,6 +861,68 @@ def test_repeated_call_gives_the_same_result(tmp_path, capsys, command, override
     argv = [command, "--config", cfg, "--output", str(out), *flags]
     first = run_snapshot(argv, out, capsys)
     assert run_snapshot(argv, out, capsys) == first
+
+
+# ---------------------------------------------------------------------------
+# artifacts written in place
+
+RERUN_COMMANDS = [
+    ("solve", {}),
+    ("compare", {"penalty": [{"kind": "l1l2", "lambda": 0.1},
+                             {"kind": "scad", "lambda": 0.25, "alpha": 3.0}]}),
+    ("oracle", {}),  # certificate mode
+]
+
+
+@pytest.mark.parametrize("command,overrides", RERUN_COMMANDS,
+                         ids=[c for c, _ in RERUN_COMMANDS])
+def test_rerun_into_a_used_directory_equals_a_fresh_run(tmp_path, capsys, command, overrides):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(tmp_path / "config.json"), "--output", str(out)]
+    write_config(tmp_path, N=60, **overrides)
+    longer = run_snapshot(argv, out, capsys)
+    write_config(tmp_path, N=40, **overrides)
+    rerun = run_snapshot(argv, out, capsys)
+    shutil.rmtree(out)
+    fresh = run_snapshot(argv, out, capsys)
+    assert rerun == fresh
+    assert fresh[0] == 0
+    # every file of the longer run was longer, so a stale tail would show
+    assert all(len(longer[3][name]) > len(data) for name, data in fresh[3].items()
+               if not name.startswith("summary"))
+
+
+def test_write_text_creates_a_missing_file(tmp_path):
+    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    cli._write_text(path, "a,b\n")
+    with open(ref, "w") as fh:
+        fh.write("a,b\n")
+    assert path.read_bytes() == b"a,b\n"
+    assert path.stat().st_mode == ref.stat().st_mode
+
+
+def test_write_text_overwrites_in_place_and_cuts_to_length(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"x" * 1000)
+    inode = path.stat().st_ino
+    cli._write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+    assert path.stat().st_ino == inode
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"{}" * 100)
+    link.symlink_to(target)
+    cli._write_text(link, "{}\n")
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == b"{}\n"
+
+
+def test_write_text_is_utf8_with_unix_newlines(tmp_path):
+    path = tmp_path / "text.csv"
+    cli._write_text(path, "t,\u00e9\n1,2\n")
+    assert path.read_bytes() == b"t,\xc3\xa9\n1,2\n"
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,42 @@ def test_start_for_another_feasible_set_is_refused():
     assert solve_lp(LpProblem(p.c.copy(), p.Aeq.copy(), p.beq.copy()), start=start).status == OPTIMAL
 
 
+def test_start_refuses_a_column_prefix():
+    # The start's augmented matrix [Aeq | diag(signs)] begins with Aeq, so
+    # a problem whose Aeq is a prefix of it must not pass for the same set.
+    rng = np.random.default_rng(5)
+    p = random_feasible_problem(rng, 2, 6)
+    start = solve_lp(p).start
+    for cols in (5, 7):
+        prefix = LpProblem(np.zeros(cols), start.A[:, :cols], p.beq)
+        with pytest.raises(ParameterError):
+            solve_lp(prefix, start=start)
+
+
+def test_start_holds_the_augmented_matrix_and_its_basis_point(monkeypatch):
+    p = dense_lp(1)
+    n, q = p.Aeq.shape
+    cold, stacks = counting_calls(monkeypatch, np, "hstack", lambda: solve_lp(p))
+    assert cold.status == OPTIMAL and stacks == 1
+    start = cold.start
+    assert np.array_equal(start.A, np.hstack([p.Aeq, np.diag(np.where(p.beq < 0, -1.0, 1.0))]))
+    # x is the fresh solve of the start's basis, with the artificials at 0
+    x = np.where(start.status == _UPPER, 1.0, 0.0)
+    x[start.basis] = 0.0
+    B = start.A[:, start.basis]
+    x[start.basis] = np.linalg.solve(B, p.beq - start.A @ x)
+    assert np.array_equal(start.x, x)
+    assert np.array_equal(cold.z, x[:q])
+    # a warm solve builds no matrix, and with no pivot solves only for the duals
+    kept = start.x.copy()
+    again, stacks = counting_calls(monkeypatch, np, "hstack", lambda: solve_lp(p, start=start))
+    assert stacks == 0 and again.iterations == 0
+    _, solves = counting_calls(monkeypatch, np.linalg, "solve", lambda: solve_lp(p, start=start))
+    assert solves == 1
+    assert_same_solution(again, cold)
+    assert np.array_equal(start.x, kept)
+
+
 def test_start_survives_a_failed_phase_2():
     # phase 1 ends with no artificial mass, but no rounded vertex meets tol=1e-300
     rng = np.random.default_rng(1)
@@ -450,15 +486,20 @@ def dense_lp(seed):
     return LpProblem(objectives(seed, 300)[0], A, b)
 
 
+def counting_calls(monkeypatch, module, name, solve):
+    """``solve()`` and how many times it called ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, lambda *a: calls.append(1) or original(*a))
+        sol = solve()
+    return sol, len(calls)
+
+
 def counting_basis_changes(monkeypatch, solve):
     """``solve()`` and how many basis changes it made: each one is one
     rank-1 update of the basis inverse (``np.outer``)."""
-    calls = []
-    outer = np.outer
-    with monkeypatch.context() as patch:
-        patch.setattr(handsoff.lp.np, "outer", lambda *a: calls.append(1) or outer(*a))
-        sol = solve()
-    return sol, len(calls)
+    return counting_calls(monkeypatch, handsoff.lp.np, "outer", solve)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -12,6 +12,7 @@ from handsoff.oracle import (
     CertificateTolerances,
     brute_force_l0,
     double_integrator_certificate,
+    exact_instance,
     make_exact_instance,
 )
 from handsoff.system import (
@@ -312,6 +313,20 @@ def test_make_exact_instance_round_trip(seed):
     dp = build_discrete(prob, N)
     final = simulate(dp, prob.x0, split_control(planted))[-1]
     assert np.max(np.abs(final)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_instance_discretization_equals_a_fresh_build(seed):
+    rng = np.random.default_rng([seed, 1])
+    n, m, N = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 9))
+    sys_ = LinearSystem(rng.normal(scale=0.5, size=(n, n)), rng.normal(size=(n, m)))
+    planted = ControlSignal(4.0 / N, rng.integers(-1, 2, size=(N, m)).astype(float))
+    prob, dp = exact_instance(sys_, 4.0, N, planted)
+    assert np.array_equal(prob.x0, make_exact_instance(sys_, 4.0, N, planted).x0)
+    ref = build_discrete(prob, N)
+    assert (dp.delta, dp.N) == (ref.delta, ref.N)
+    for name in ("Ad", "Bd", "Phi", "zeta"):
+        assert np.array_equal(getattr(dp, name), getattr(ref, name)), name
 
 
 def test_make_exact_instance_validation():
