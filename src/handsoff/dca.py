@@ -4,8 +4,9 @@ On the discretized feasible set the objective splits as g - h with
 g(z) = sum(z) (the l1 norm on the nonnegative box) and
 h(z) = sum of the concave gaps phi(z_i).  Each iteration linearizes h at the
 current point with a subgradient s and minimizes g - s @ z, which is a boxed
-LP with cost vector 1 - s; successive costs never increase.  The loop stops
-on a cost stall, a step stall, or the iteration cap, whichever fires first.
+LP with cost vector 1 - s.  The loop stops on a cost stall, a step stall, an
+ascent (a step that raises the cost, which is rejected), or the iteration
+cap, whichever fires first.
 Every LP of a run has the feasible set Phi z = -zeta, 0 <= z <= 1, so the
 simplex's phase 1 runs at most once per run, and not at all when the caller
 passes the solution of the plain l1 LP over that set (``solve_l1``).  Each LP
@@ -203,6 +204,11 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
     refused at the first LP with ``ParameterError`` (``DimensionError`` if
     its size differs).
 
+    ``stop_reason`` is ``"cost_stall"``, ``"step_stall"``, ``"max_iter"`` or
+    ``"ascent"``: an LP whose vertex raises ``cost_jd`` by more than
+    ``cfg.cost_tol`` is rejected and the run keeps the previous iterate; that
+    LP counts in ``iterations``, ``lp_solves`` and ``max_kkt_residual`` only.
+
     Raises ``AssumptionViolationError`` for an inadmissible penalty,
     ``InfeasibleProblemError`` (with the phase-1 certificate) when no
     admissible control reaches the origin, and ``NumericalError`` if an LP
@@ -246,14 +252,15 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
         lp_solves += 1
         iterations += 1
         max_kkt = max(max_kkt, sol.kkt_residual)
-        z_new = sol.z
-        cost_new = cost_jd(pen, z_new)
+        cost_new = cost_jd(pen, sol.z)
+        if prev_cost is not None and cost_new - prev_cost > cfg.cost_tol:
+            stop_reason = "ascent"
+            break
         cost_history.append(cost_new)
         feas_history.append(sol.eq_residual)
-        step = float(np.max(np.abs(z_new - z)))
+        step = float(np.max(np.abs(sol.z - z)))
         done_cost = prev_cost is not None and abs(cost_new - prev_cost) <= cfg.cost_tol
-        z = z_new
-        prev_cost = cost_new
+        z, prev_cost = sol.z, cost_new
         if done_cost:
             stop_reason = "cost_stall"
             break

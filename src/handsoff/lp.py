@@ -18,11 +18,11 @@ start), never a carried value.  Because every variable is boxed the problem
 is never unbounded, and every optimum returned is a vertex: at most one
 basic variable per row sits strictly between its bounds.
 
-Phase 1 starts from signed artificial columns and minimizes their sum; a
-positive optimum is returned as the infeasibility certificate.  Pricing is
-most-negative-reduced-cost with first-index tie-breaking, switching to
-Bland's smallest-index rule after a run of degenerate pivots, which makes the
-pivot sequence (and therefore the output bytes) reproducible.
+Phase 1 starts from signed artificial columns and minimizes their sum; an
+optimum above the tolerance is returned as the infeasibility certificate.
+Pricing is most-negative-reduced-cost with first-index tie-breaking,
+switching to Bland's smallest-index rule after a run of degenerate pivots,
+which makes the pivot sequence (and therefore the output bytes) reproducible.
 
 Most phase-1 pivots of the l1 LP are box flips: the entering column reaches
 its other bound before any basic variable reaches one of its own.  A flip
@@ -36,19 +36,21 @@ Apart from exact ratio ties, which the carried basic values may round
 otherwise than a fresh solve, the pivot sequence is the one that pricing
 before every flip would make.  Every flip counts as an iteration.
 
-Phase 1 runs once per feasible set, not once per objective.  A solve that
-reaches a feasible basis returns the basis it ended on as
-``LpSolution.start``: the optimal basis when phase 2 verifies, otherwise the
-basis phase 2 began from.  Either is primal feasible for ``(Aeq, beq)`` and a
-new cost never breaks primal feasibility, so passing it back as
-``solve_lp(..., start=...)`` skips phase 1 and starts phase 2 from a copy of
-it.  The start holds the augmented matrix and the fresh point of its basis,
-so a warm solve neither rebuilds the one nor solves for the other; a cold
-solve's phase 2 likewise starts from phase 1's point.  A chain of nearby
-objectives (the DC iteration) then re-optimizes from the previous optimum
-in a few pivots, and an objective re-solved from its own returned start
-makes none.  A warm solve is optimal at the same verified tolerance as a
-solve from scratch, but on ties it may return another optimal vertex.
+Each call is one pass, phase 1 only without a start and phase 2 only from
+one, and one verdict on the last phase's point.  Phase 1 runs once per
+feasible set, not once per objective.  A solve that reaches a feasible basis
+returns the basis it ended on as ``LpSolution.start``: the optimal basis
+when phase 2 verifies, otherwise the basis phase 2 began from.  Either is
+primal feasible for ``(Aeq, beq)`` and a new cost never breaks primal
+feasibility, so passing it back as ``solve_lp(..., start=...)`` skips phase
+1 and starts phase 2 from a copy of it.  The start holds the augmented
+matrix and the fresh point of its basis, so a warm solve neither rebuilds
+the one nor solves for the other; a cold solve's phase 2 likewise starts
+from phase 1's point.  A chain of nearby objectives (the DC iteration) then
+re-optimizes from the previous optimum in a few pivots, and an objective
+re-solved from its own returned start makes none.  A warm solve is optimal
+at the same verified tolerance as a solve from scratch, but on ties it may
+return another optimal vertex; it runs no phase 1 and reports 0.0 for it.
 """
 
 from dataclasses import dataclass
@@ -98,13 +100,13 @@ class LpStart:
     phase 1 ran and shared by every start derived from it.  ``basis`` and
     ``status`` index ``A``'s columns, and ``x`` is the fresh solve of that
     basis.  Nothing writes to any of the arrays; ``solve_lp`` copies
-    ``basis``, ``status`` and ``x`` before pivoting.
+    ``basis``, ``status`` and ``x`` before pivoting.  A start keeps no
+    phase-1 value: phase 1 makes one only from an optimum at most ``tol``.
     """
 
     A: np.ndarray
     beq: np.ndarray
     tol: float
-    phase1_value: float
     basis: np.ndarray
     status: np.ndarray
     x: np.ndarray
@@ -121,10 +123,12 @@ class LpSolution:
     """Outcome of one ``solve_lp`` call.
 
     ``iterations`` counts the pivots made by this call, each box flip as one:
-    phase 1's (only when it ran) plus phase 2's.  ``start`` is the basis this solve ended on, for
-    reuse by later objectives over the same feasible set: the optimal basis
-    when the solution verified, the basis phase 2 began from when it did not,
-    and None when phase 1 found no feasible basis.
+    phase 1's (only when it ran) plus phase 2's.  ``phase1_value`` is this
+    call's phase-1 optimum (inf if phase 1 failed, 0.0 if it did not run).
+    ``start`` is the basis this solve ended on, for reuse by later objectives
+    over the same feasible set: the optimal basis when the solution verified,
+    the basis phase 2 began from when it did not, and None when phase 1 found
+    no feasible basis.
     """
 
     z: np.ndarray
@@ -330,10 +334,15 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
 def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None) -> LpSolution:
     """Solve the boxed LP; statuses: optimal, infeasible, numerical_failure.
 
-    An ``optimal`` solution is a vertex with equality residual and KKT
-    residual at most ``tol`` (verified, not assumed).  ``infeasible`` carries
-    the phase-1 optimum in ``phase1_value`` together with the closest point
-    found, whose equality residual it bounds.
+    One pass: phase 1 only without ``start``, phase 2 only from a start (the
+    one given, or phase 1's when its optimum is at most ``tol``), then one
+    verdict on the last phase's point.  ``optimal``: a phase-2 vertex with
+    equality and KKT residuals at most ``tol`` (verified, not assumed).
+    ``infeasible``: a phase-1 optimum above ``tol``, carried in
+    ``phase1_value`` with the closest point found, whose equality residual it
+    bounds.  ``numerical_failure``: anything else (a singular basis or the
+    iteration cap in either phase, or a phase-2 point that fails the test),
+    with KKT residual inf unless phase 2 reached an optimum.
 
     With ``start`` (the ``start`` of an earlier solution over the same
     ``Aeq``, ``beq`` and ``tol``) phase 1 is skipped and phase 2 begins from
@@ -353,15 +362,7 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
     upper = np.ones(q + n)
     max_iter = 50 * (q + n) + 1000
     dual_tol = 0.5 * tol
-
-    def _failure(x, duals, iters):
-        z = x[:q] if x is not None else np.zeros(q)
-        y = duals if duals is not None else np.zeros(n)
-        eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
-        phase1 = float("inf") if start is None else start.phase1_value
-        return LpSolution(z, float(problem.c @ z), NUMERICAL_FAILURE, eq,
-                          float("inf"), iters, y, phase1, start)
-
+    phase1, iters = 0.0, 0
     if start is None:
         A = np.hstack([problem.Aeq, np.diag(np.where(r < 0, -1.0, 1.0))])
         upper[q:] = float(np.sum(np.abs(r))) + 1.0
@@ -369,33 +370,25 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
         status[q:] = _BASIC
         basis = np.arange(q, q + n)
         c1 = np.concatenate([np.zeros(q), np.ones(n)])
-        out, x, duals, it1 = _simplex(A, r, c1, lower, upper, basis, status, dual_tol, max_iter)
-        if out != "optimal":
-            return _failure(x, duals, it1)
-        phase1 = float(c1 @ x)
-        if phase1 > tol:
-            z = x[:q].copy()
-            eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
-            return LpSolution(z, float(problem.c @ z), INFEASIBLE, eq, float("inf"),
-                              it1, duals.copy(), phase1)
-        start = LpStart(A, r.copy(), tol, phase1, basis.copy(), status.copy(), x)
-    else:
-        it1 = 0
-        A, basis, status = start.A, start.basis.copy(), start.status.copy()
+        out, x, duals, iters = _simplex(A, r, c1, lower, upper, basis, status, dual_tol, max_iter)
+        phase1 = float(c1 @ x) if out == "optimal" else float("inf")
+        if phase1 <= tol:
+            start = LpStart(A, r.copy(), tol, basis.copy(), status.copy(), x)
+    if start is not None:
+        upper[q:] = 0.0  # artificials pinned for phase 2
+        basis, status = start.basis.copy(), start.status.copy()
+        c2 = np.concatenate([problem.c, np.zeros(n)])
+        out, x, duals, it = _simplex(start.A, r, c2, lower, upper, basis, status, dual_tol,
+                                     max_iter, start.x)
+        iters += it
 
-    upper[q:] = 0.0  # artificials pinned for phase 2
-    c2 = np.concatenate([problem.c, np.zeros(n)])
-    out, x, duals, it2 = _simplex(A, r, c2, lower, upper, basis, status, dual_tol, max_iter,
-                                  start.x)
-    if out != "optimal":
-        return _failure(x, duals, it1 + it2)
-    z = x[:q].copy()
+    z = np.zeros(q) if x is None else x[:q].copy()
     eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
-    kkt = kkt_residual(problem, z, duals)
+    solved = start is not None and out == "optimal"  # a phase-2 optimum
+    kkt = kkt_residual(problem, z, duals) if solved else float("inf")
     if eq <= tol and kkt <= tol:
-        status_final = OPTIMAL
-        start = LpStart(start.A, start.beq, tol, start.phase1_value, basis, status, x)
-    else:
-        status_final = NUMERICAL_FAILURE
-    return LpSolution(z, float(problem.c @ z), status_final, eq, kkt,
-                      it1 + it2, duals.copy(), start.phase1_value, start)
+        verdict, start = OPTIMAL, LpStart(start.A, start.beq, tol, basis, status, x)
+    else:  # a finite phase-1 optimum without a start is above tol
+        verdict = INFEASIBLE if start is None and np.isfinite(phase1) else NUMERICAL_FAILURE
+    return LpSolution(z, float(problem.c @ z), verdict, eq, kkt, iters,
+                      np.zeros(n) if duals is None else duals.copy(), phase1, start)

@@ -27,9 +27,9 @@ from handsoff.errors import (
     NumericalError,
     ParameterError,
 )
-from handsoff.lp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, LpSolution
+from handsoff.lp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, LpProblem, LpSolution, solve_lp
 from handsoff.oracle import brute_force_l0, make_exact_instance
-from handsoff.penalty import Penalty, equivalence_constant
+from handsoff.penalty import Penalty, equivalence_constant, phi_subgradient
 from handsoff.system import ControlProblem, LinearSystem, build_discrete, double_integrator
 
 from test_penalty import CATALOG
@@ -192,6 +192,59 @@ def test_descent_and_nonnegativity(pen):
     vw = res.z_star.reshape(-1, 2)  # m = 1: columns v and w
     recomputed = float(np.max(np.minimum(vw[:, 0], vw[:, 1])))
     assert res.complementarity_violation == recomputed
+
+
+def lp_ascent_dp():
+    """A planted instance (n=3, m=2, N=4, T=4) on which the lp penalty's
+    first DC step from the l1 vertex raises J_d by 2.6e-8."""
+    A = [[-0.08365400371932485, -0.15999991082639425, -0.02994373897712771],
+         [-0.11290210033306747, -0.33879794073257213, -0.25245807650665963],
+         [-0.27099581857720695, -0.0398344026983764, -0.01698979114308058]]
+    B = [[0.7526983414092333, 0.8049778140307529],
+         [-1.4189234342817736, -0.13186413865782448],
+         [0.06638373490559656, -1.9098440236158978]]
+    planted = ControlSignal(1.0, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    return build_discrete(make_exact_instance(LinearSystem(A, B), 4.0, 4, planted), 4)
+
+
+@pytest.mark.parametrize("pen", [Penalty("lp", 0.8, p=0.5), Penalty("mcp", 1.0, alpha=0.5),
+                                 Penalty("scad", 0.25, alpha=3.0), Penalty("l1l2", 0.1)],
+                         ids=lambda p: p.kind)
+def test_an_ascent_is_rejected(pen):
+    dp, cfg = lp_ascent_dp(), DcaConfig(warm_start="l1")
+    res = run_dca(dp, pen, cfg)
+    assert np.all(np.diff(res.cost_history) <= 1e-9)
+    if pen.kind == "lp":
+        # the rejected LP counts as an iteration and a solve, but the run
+        # keeps the l1 vertex and its cost
+        l1 = solve_l1(dp, cfg)
+        assert res.stop_reason == "ascent"
+        assert (res.iterations, res.lp_solves) == (1, 2)
+        assert np.array_equal(res.z_star, l1.z)
+        assert res.cost_history == [cost_jd(pen, l1.z)]
+        assert res.feas_history == [res.feas_residual] == [l1.eq_residual]
+        assert res.max_kkt_residual > l1.kkt_residual
+
+
+def test_step_stall_keeps_the_last_lp_vertex():
+    # No entry of a step in the box moves by more than 1, so step_tol=1.0
+    # stops at the first step; cost_tol=1e-300 keeps a cost stall from
+    # firing first.  On this plant scad's first DC step leaves the l1 vertex
+    # and lowers the cost.
+    plant = LinearSystem([[-0.3, -0.137, -0.383], [0.137, -0.3, -0.338], [0.383, 0.338, -0.3]],
+                         [[-1.265, -0.623], [0.041, -2.325], [-0.219, -1.246]])
+    dp = build_discrete(ControlProblem(plant, np.array([-0.227, -0.169, -0.098]), 5.0), 40)
+    pen = Penalty("scad", 0.25, alpha=3.0)
+    cfg = DcaConfig(warm_start="l1", step_tol=1.0, cost_tol=1e-300)
+    res = run_dca(dp, pen, cfg)
+    l1 = solve_l1(dp, cfg)
+    s = phi_subgradient(pen, np.clip(l1.z, 0.0, 1.0), eps=cfg.lp_epsilon)
+    step = solve_lp(LpProblem(1.0 - s, dp.Phi, -dp.zeta), tol=cfg.lp_tol, start=l1.start)
+    assert res.stop_reason == "step_stall" and res.iterations == 1
+    assert np.array_equal(res.z_star, step.z)
+    assert np.max(np.abs(step.z - l1.z)) > 0.01
+    assert res.cost_history == [cost_jd(pen, l1.z), cost_jd(pen, step.z)]
+    assert res.cost_history[1] < res.cost_history[0]
 
 
 def test_bang_off_result_cost_identity():

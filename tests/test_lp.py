@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import handsoff.lp
-from handsoff.errors import DimensionError, DomainError, ParameterError
+from handsoff.dca import checked_lp
+from handsoff.errors import DimensionError, DomainError, NumericalError, ParameterError
 from handsoff.lp import (
     _BASIC,
     _LOWER,
@@ -475,6 +476,28 @@ def test_iteration_limit_cuts_a_flip_run(max_iter, outcome):
     assert x[0] == pytest.approx(0.5 - 0.01 * flips, abs=1e-15)
 
 
+@pytest.mark.parametrize("max_iter, outcome, objective", [
+    (21, "iteration_limit", 0.0), (1000, "optimal", -1.25),
+])
+def test_bland_rule_ends_a_degenerate_cycle(max_iter, outcome, objective):
+    # Beale's (1955) cycling LP from the slack basis, on unit boxes: the
+    # most-negative rule makes 3 * 7 degenerate pivots at objective 0, then
+    # Bland's smallest-index rule leaves the cycle and reaches the optimum.
+    A = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                  [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+    c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    basis = np.arange(3)
+    status = np.full(7, _LOWER, dtype=np.int8)
+    status[:3] = _BASIC
+    out, x, duals, iters = _simplex(A, np.array([0.0, 0.0, 1.0]), c, np.zeros(7), np.ones(7),
+                                    basis, status, 1e-10, max_iter)
+    assert out == outcome and c @ x == pytest.approx(objective, abs=1e-15)
+    if outcome == "optimal":
+        assert iters == 25 > 3 * 7  # 21 degenerate pivots, then 4 by Bland's rule
+        assert x == pytest.approx([0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # basis inverse carried across pivots: many basis changes, several refactorizations
 
@@ -537,3 +560,68 @@ def test_returned_point_is_the_fresh_solve_of_the_final_basis(monkeypatch):
     duals = np.linalg.solve(B.T, np.concatenate([p.c, np.zeros(n)])[basis])
     assert np.array_equal(sol.z, x[:q])
     assert np.array_equal(sol.duals, duals)
+
+
+# ---------------------------------------------------------------------------
+# one verdict: a pass that ends other than optimal is a numerical failure
+
+def _singular(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def failing_pass(monkeypatch, fail_at, outcome):
+    """Patch ``_simplex`` so that its ``fail_at``-th call (1 = the first pass
+    of the next solve) ends in ``outcome``: ``"iteration_limit"`` on a budget
+    of 2 pivots, ``"singular"`` at its first basis solve.  Returns the list
+    that collects every call's result."""
+    real = handsoff.lp._simplex
+    calls = []
+
+    def patched(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=None):
+        failing = len(calls) + 1 == fail_at
+        with monkeypatch.context() as patch:
+            if failing and outcome == "singular":
+                patch.setattr(np.linalg, "solve", _singular)
+            result = real(A, b, c, lower, upper, basis, status, dual_tol,
+                          2 if failing and outcome == "iteration_limit" else max_iter, x_start)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(handsoff.lp, "_simplex", patched)
+    return calls
+
+
+@pytest.mark.parametrize("outcome", ["singular", "iteration_limit"])
+@pytest.mark.parametrize("case", ["cold phase 1", "cold phase 2", "warm"])
+def test_a_failed_pass_is_a_numerical_failure(case, outcome, monkeypatch):
+    p = dense_lp(0)
+    n, q = p.Aeq.shape
+    other = LpProblem(p.c + 0.3 * np.random.default_rng([0, 2]).normal(size=q), p.Aeq, p.beq)
+    given = solve_lp(p).start if case == "warm" else None
+    calls = failing_pass(monkeypatch, 2 if case == "cold phase 2" else 1, outcome)
+    sol = solve_lp(other, start=given)
+    assert len(calls) == (2 if case == "cold phase 2" else 1)
+    failed, x, duals, iters = calls[-1]
+    assert failed == outcome and iters == (0 if outcome == "singular" else 2)
+    assert sol.status == NUMERICAL_FAILURE and sol.kkt_residual == np.inf
+    assert sol.iterations == sum(call[3] for call in calls)
+    if outcome == "singular":
+        assert np.array_equal(sol.z, np.zeros(q)) and np.array_equal(sol.duals, np.zeros(n))
+        assert sol.eq_residual == np.max(np.abs(p.beq))
+    else:
+        assert np.array_equal(sol.z, x[:q]) and np.array_equal(sol.duals, duals)
+    assert sol.eq_residual == np.max(np.abs(p.Aeq @ sol.z - p.beq))
+    assert sol.objective == other.c @ sol.z
+    if case == "cold phase 1":
+        assert sol.start is None and sol.phase1_value == np.inf
+    elif case == "cold phase 2":
+        phase1_x = calls[0][1]
+        assert sol.start.x is phase1_x
+        assert sol.phase1_value == np.concatenate([np.zeros(q), np.ones(n)]) @ phase1_x <= 1e-9
+    else:
+        assert sol.start is given and sol.phase1_value == 0.0
+    with pytest.raises(NumericalError, match="LP failure in the test LP"):
+        checked_lp(sol, "the test LP", 1e-9)
+    if sol.start is not None:  # the start it returns is feasible and reusable
+        monkeypatch.undo()
+        assert solve_lp(other, start=sol.start).status == OPTIMAL
