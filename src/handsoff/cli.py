@@ -34,6 +34,7 @@ from .errors import (
     SizeError,
 )
 from .oracle import (
+    MAX_ENUM_VARS,
     CertificateTolerances,
     brute_force_l0,
     double_integrator_certificate,
@@ -130,28 +131,26 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _dataclass_from_config(doc: dict, key: str, cls, **flags):
+def _dataclass_from_config(doc: dict, key: str, cls):
     """``cls`` from the optional mapping ``doc[key]``, whose keys must be
-    fields of ``cls``; the ``flags`` that are not None override it."""
+    fields of ``cls``."""
     sub = doc.get(key, {})
     if not isinstance(sub, dict):
         raise ConfigError(f"config key {key!r} must be a mapping")
     unknown = set(sub) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {key} fields {sorted(unknown)}")
-    kwargs = {**sub, **{k: v for k, v in flags.items() if v is not None}}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {key} config: {exc}") from exc
+    return cls(**sub)
 
 
 def _number(sub: dict, key: str, section: str | None, kind=float):
     """``kind(sub[key])``; a ConfigError naming ``section.key`` (``key`` at
-    the top level) if that fails, or if ``int`` would truncate the value."""
+    the top level) if that fails, if the value is a bool, or if ``int``
+    would truncate it."""
     raw = _require(sub, key)
     try:
-        if kind is int and isinstance(raw, float) and not raw.is_integer():
+        if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                     and not raw.is_integer()):
             raise ValueError
         return kind(raw)
     except (TypeError, ValueError, OverflowError):
@@ -327,7 +326,7 @@ def _case(args, *, single: bool, tols: bool = False) -> Case:
     doc = load_config(args.config)
     problem, dp, N, planted = _problem_from_config(doc, args.seed)
     penalties = _penalties_from_config(doc, args.penalty, want_list=not single)
-    cfg = _dataclass_from_config(doc, "dca", DcaConfig, warm_start=args.warm_start)
+    cfg = _dataclass_from_config(doc, "dca", DcaConfig)
     certificate = _dataclass_from_config(doc, "certificate", CertificateTolerances) if tols else None
     outdir = _outdir(args, doc)
     return Case(doc, problem, planted, penalties, cfg, certificate, outdir,
@@ -493,7 +492,7 @@ def cmd_oracle(args) -> int:
     if planted is not None:
         report["planted_support_measure"] = l0_measure(planted)
 
-    if dp.m * dp.N <= 16:
+    if dp.m * dp.N <= MAX_ENUM_VARS:
         if "eps" in sub:
             eps = _number(sub, "eps", "oracle")
         elif planted is not None:
@@ -595,8 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output directory")
         p.add_argument("--penalty", default=None,
                        help="inline penalty spec, e.g. 'l1l2 lambda=0.6' (overrides config)")
-        p.add_argument("--warm-start", dest="warm_start", default=None,
-                       choices=("zero", "l1"), help="override the DC warm start")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized instance generators")
 

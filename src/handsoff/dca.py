@@ -2,11 +2,11 @@
 
 On the discretized feasible set the objective splits as g - h with
 g(z) = sum(z) (the l1 norm on the nonnegative box) and
-h(z) = sum of the concave gaps phi(z_i).  Each iteration linearizes h at the
-current point with a subgradient s and minimizes g - s @ z, which is a boxed
-LP with cost vector 1 - s.  The loop stops on a cost stall, a step stall, an
-ascent (a step that raises the cost, which is rejected), or the iteration
-cap, whichever fires first.
+h(z) = sum of the concave gaps phi(z_i).  From the plain l1 LP's vertex, each
+iteration linearizes h at the current point with a subgradient s and
+minimizes g - s @ z, a boxed LP with cost vector 1 - s.  The loop stops on a
+cost stall, a step stall, an ascent (a step that raises the cost, which is
+rejected), or the iteration cap, whichever fires first.
 Every LP of a run has the feasible set Phi z = -zeta, 0 <= z <= 1, so the
 simplex's phase 1 runs at most once per run, and not at all when the caller
 passes the solution of the plain l1 LP over that set (``solve_l1``).  Each LP
@@ -15,6 +15,8 @@ re-optimizes from the last vertex instead of walking back to it from the
 phase-1 basis.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import (
     InfeasibleProblemError,
     NumericalError,
     ParameterError,
+    check_number,
 )
 from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, LpStart, solve_lp
 from .penalty import Penalty, phi, phi_subgradient, validate_assumption
@@ -63,25 +66,26 @@ class ControlSignal:
 
 @dataclass(frozen=True)
 class DcaConfig:
+    """Settings of a DC run.  Every run starts from the l1 LP's vertex, so
+    ``warm_start`` has one legal value, ``"l1"``; the field stays so that
+    configs which name it keep loading."""
+
     cost_tol: float = 1e-8
     step_tol: float = 1e-9
     max_iter: int = 50
     lp_tol: float = 1e-9
     l0_threshold: float = 1e-6
     lp_epsilon: float = 1e-8
-    warm_start: str = "zero"
+    warm_start: str = "l1"
 
     def __post_init__(self):
         for name in ("cost_tol", "step_tol", "lp_tol", "l0_threshold", "lp_epsilon"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0:
-                raise ParameterError(f"{name} must be positive, got {val}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.warm_start not in ("zero", "l1"):
-            raise ParameterError(
-                f"warm_start must be 'zero' or 'l1', got {self.warm_start!r}"
-            )
+            check_number(name, getattr(self, name), "a positive finite number",
+                         lambda v: 0 < v < math.inf)
+        check_number("max_iter", self.max_iter, "an integer of at least 1", lambda v: v >= 1,
+                     numbers.Integral)
+        if self.warm_start != "l1":
+            raise ParameterError(f"warm_start must be 'l1', got {self.warm_start!r}")
 
 
 @dataclass
@@ -158,7 +162,7 @@ def checked_lp(sol: LpSolution, what: str, tol: float) -> LpSolution:
 def solve_l1(dp: DiscreteProblem, cfg: DcaConfig = DcaConfig(),
              start: LpStart | None = None) -> LpSolution:
     """The plain l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1, at
-    ``cfg.lp_tol`` from ``start``: the convex baseline and the ``"l1"`` warm
+    ``cfg.lp_tol`` from ``start``: the convex baseline and every DC run's
     start.  Its status is unchecked; ``l1_result`` and ``run_dca`` check it."""
     return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta),
                     tol=cfg.lp_tol, start=start)
@@ -188,21 +192,19 @@ def _result(dp: DiscreteProblem, cfg: DcaConfig, z: np.ndarray, **run) -> DcaRes
 
 def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             l1: LpSolution | None = None) -> DcaResult:
-    """Iterate linearize-and-solve from the configured warm start.
+    """Iterate linearize-and-solve from the l1 LP's vertex.
 
-    Warm starts: ``"zero"`` seeds only the first subgradient (the first LP
-    already lands on a feasible vertex); ``"l1"`` first solves the plain l1
-    LP (``solve_l1``), which counts as one of the run's LPs.
+    The run's first LP is the plain l1 LP (``solve_l1``); its cost and
+    residual open ``cost_history`` and ``feas_history``, and it counts as
+    one of the run's LPs, so ``lp_solves`` is ``iterations + 1``.
 
     Every LP of the run shares dp's feasible set, so phase 1 runs at most
     once, and each LP starts phase 2 from the basis the one before it ended
     on.  ``l1``, the caller's ``solve_l1(dp, cfg)``, spares the run phase 1:
-    its first LP starts from that basis.  Under ``"l1"`` that LP makes no
-    pivots and returns ``l1``'s vertex, so the result is the same bit for
-    bit; under ``"zero"``, on ties, the first DC step may end on another
-    optimal vertex.  A solution for another problem or ``cfg.lp_tol`` is
-    refused at the first LP with ``ParameterError`` (``DimensionError`` if
-    its size differs).
+    its first LP starts from that basis, makes no pivots and returns
+    ``l1``'s vertex, so the result is the same bit for bit.  A solution for
+    another problem or ``cfg.lp_tol`` is refused at the first LP with
+    ``ParameterError`` (``DimensionError`` if its size differs).
 
     ``stop_reason`` is ``"cost_stall"``, ``"step_stall"``, ``"max_iter"`` or
     ``"ascent"``: an LP whose vertex raises ``cost_jd`` by more than
@@ -221,45 +223,24 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             f" (worst margin {report.worst_margin:.3e} at u={report.witness_u})",
             report=report,
         )
-    start = None if l1 is None else l1.start
-
-    def _solve(c, what):
-        nonlocal start
-        sol = solve_lp(LpProblem(c, dp.Phi, -dp.zeta), tol=cfg.lp_tol, start=start)
-        start = sol.start
-        return checked_lp(sol, what, cfg.lp_tol)
-
-    cost_history: list[float] = []
-    feas_history: list[float] = []
-    if cfg.warm_start == "l1":
-        sol = checked_lp(solve_l1(dp, cfg, start), "the l1 warm start", cfg.lp_tol)
-        lp_solves, max_kkt, z, resid, start = 1, sol.kkt_residual, sol.z, sol.eq_residual, sol.start
-    else:
-        lp_solves, max_kkt, z = 0, 0.0, np.zeros(2 * dp.m * dp.N)
-        resid = float(np.max(np.abs(dp.Phi @ z + dp.zeta)))
-
-    prev_cost = None
-    if resid <= 1e-8:  # track costs only along feasible iterates
-        prev_cost = cost_jd(pen, z)
-        cost_history.append(prev_cost)
-        feas_history.append(resid)
-
+    sol = checked_lp(solve_l1(dp, cfg, None if l1 is None else l1.start),
+                     "the l1 warm start", cfg.lp_tol)
+    z, max_kkt, prev_cost = sol.z, sol.kkt_residual, cost_jd(pen, sol.z)
+    cost_history, feas_history = [prev_cost], [sol.eq_residual]
     stop_reason = "max_iter"
-    iterations = 0
-    for _ in range(cfg.max_iter):
+    for iterations in range(1, cfg.max_iter + 1):
         s = phi_subgradient(pen, np.clip(z, 0.0, 1.0), eps=cfg.lp_epsilon)
-        sol = _solve(1.0 - s, f"iteration {iterations + 1}")
-        lp_solves += 1
-        iterations += 1
+        sol = checked_lp(solve_lp(LpProblem(1.0 - s, dp.Phi, -dp.zeta), tol=cfg.lp_tol,
+                                  start=sol.start), f"iteration {iterations}", cfg.lp_tol)
         max_kkt = max(max_kkt, sol.kkt_residual)
         cost_new = cost_jd(pen, sol.z)
-        if prev_cost is not None and cost_new - prev_cost > cfg.cost_tol:
+        if cost_new - prev_cost > cfg.cost_tol:
             stop_reason = "ascent"
             break
         cost_history.append(cost_new)
         feas_history.append(sol.eq_residual)
         step = float(np.max(np.abs(sol.z - z)))
-        done_cost = prev_cost is not None and abs(cost_new - prev_cost) <= cfg.cost_tol
+        done_cost = abs(cost_new - prev_cost) <= cfg.cost_tol
         z, prev_cost = sol.z, cost_new
         if done_cost:
             stop_reason = "cost_stall"
@@ -269,5 +250,5 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             break
 
     return _result(dp, cfg, z, cost_history=cost_history, feas_history=feas_history,
-                   iterations=iterations, lp_solves=lp_solves, stop_reason=stop_reason,
+                   iterations=iterations, lp_solves=iterations + 1, stop_reason=stop_reason,
                    max_kkt_residual=max_kkt)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+numeric parameter's type and range."""
+
+import numbers
 
 
 class HandsOffError(Exception):
@@ -15,6 +18,13 @@ class DomainError(HandsOffError, ValueError):
 
 class ParameterError(HandsOffError, ValueError):
     """Configuration or penalty parameter outside its admissible range."""
+
+
+def check_number(name: str, val, what: str, ok, kind=numbers.Real) -> None:
+    """Raise ``ParameterError("<name> must be <what>, got <val!r>")`` unless
+    ``val`` is a ``kind`` other than a bool and ``ok(val)`` holds."""
+    if not isinstance(val, kind) or isinstance(val, bool) or not ok(val):
+        raise ParameterError(f"{name} must be {what}, got {val!r}")
 
 
 class AssumptionViolationError(HandsOffError, ValueError):

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dca import ControlSignal, l0_measure, split_control
-from .errors import DimensionError, DomainError, ParameterError, SizeError
+from .errors import DimensionError, DomainError, ParameterError, SizeError, check_number
 from .linalg import as_matrix, as_vector
 from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete, double_integrator, simulate
 
-_MAX_ENUM_VARS = 16
+MAX_ENUM_VARS = 16
 _CHUNK = 1 << 16  # grid points tested per matrix product
 
 
@@ -47,13 +47,11 @@ class CertificateTolerances:
             val = getattr(self, name)
             if val is None and name in ("l0", "dblint"):
                 continue
-            # `not val >= 0` also rejects NaN; inf switches a check off
-            if not isinstance(val, numbers.Real) or isinstance(val, bool) or not val >= 0:
-                raise ParameterError(f"tolerance {name!r} must be a nonnegative number, got {val!r}")
+            # `v >= 0` is False for NaN; inf switches a check off
+            check_number(f"tolerance {name!r}", val, "a nonnegative number", lambda v: v >= 0)
         for name in ("edge_window", "per_edge"):
-            val = getattr(self, name)
-            if not isinstance(val, numbers.Integral) or isinstance(val, bool) or val < 0:
-                raise ParameterError(f"tolerance {name!r} must be a nonnegative integer, got {val!r}")
+            check_number(f"tolerance {name!r}", getattr(self, name), "a nonnegative integer",
+                         lambda v: v >= 0, numbers.Integral)
 
 
 @dataclass
@@ -193,8 +191,8 @@ def brute_force_l0(dp: DiscreteProblem, eps: float = 1e-8) -> tuple[float, list[
         raise ParameterError(f"eps must be positive, got {eps}")
     m, N = dp.m, dp.N
     nvars = m * N
-    if nvars > _MAX_ENUM_VARS:
-        raise SizeError(f"m*N = {nvars} exceeds the enumeration cap {_MAX_ENUM_VARS}")
+    if nvars > MAX_ENUM_VARS:
+        raise SizeError(f"m*N = {nvars} exceeds the enumeration cap {MAX_ENUM_VARS}")
     # One effective column per scalar sample: the scan uses the v columns of
     # Phi.  Bd discretizes [B, -B] as one matrix, so a w column is rounded on
     # its own and may differ from the negated v column by an ulp or so (up to

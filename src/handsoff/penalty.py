@@ -134,7 +134,7 @@ def phi_subgradient(pen: Penalty, u, eps: float = 1e-8):
     """
     arr = np.asarray(u, dtype=float)
     _check_unit_box(arr, 0.0, 1.0, "phi_subgradient")
-    if eps <= 0:
+    if not np.isfinite(eps) or eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     a = np.clip(arr, 0.0, 1.0)
     lam = pen.lam

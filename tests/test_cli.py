@@ -249,6 +249,15 @@ def test_compare_empty_penalty_list_is_baseline_only(tmp_path):
     assert lines[1].startswith("l1,ok,")
 
 
+def test_compare_without_a_penalty_key_is_baseline_only(tmp_path):
+    cfg = write_config(tmp_path, N=20, penalty=None)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
+    lines = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("l1,ok,")
+
+
 def test_compare_duplicate_kinds_get_distinct_tags(tmp_path):
     cfg = write_config(tmp_path, N=20, penalty=[
         {"kind": "l1l2", "lambda": 0.1},
@@ -718,6 +727,17 @@ def test_oracle_enumeration_with_planted(tmp_path, capsys):
     assert run["agrees"] is True
 
 
+@pytest.mark.parametrize("x0,eps", [([1.0, -1.0], 3e-3), ([0.0, 0.0], 1e-8)])
+def test_oracle_default_eps_without_a_planted_signal(tmp_path, x0, eps):
+    # 1e-3 times the largest drift entry |zeta| (here 3 and 0), at least 1e-5
+    cfg = write_config(tmp_path, N=8, T=4.0, x0=x0, penalty=[{"kind": "l1l2", "lambda": 0.1}])
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
+    report = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
+    assert report["mode"] == "enumeration"
+    assert report["eps"] == pytest.approx(eps, rel=1e-12)
+
+
 def test_oracle_random_planted_is_seed_deterministic(tmp_path):
     cfg = write_config(
         tmp_path, N=8, T=4.0, x0=None,
@@ -782,6 +802,40 @@ BAD_VALUES = [
     ("oracle", {**PLANTED, "T": 0, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
      "T must be positive and finite, got 0.0"),
     ("solve", {"T": -2}, "T must be positive and finite, got -2.0"),
+    ("compare", {"N": 20, "dca": {"max_iter": 1e3}},
+     "max_iter must be an integer of at least 1, got 1000.0"),
+    ("compare", {"N": 20, "dca": {"max_iter": 2.5}},
+     "max_iter must be an integer of at least 1, got 2.5"),
+    ("compare", {"N": 20, "dca": {"max_iter": True}},
+     "max_iter must be an integer of at least 1, got True"),
+    ("compare", {"N": 20, "dca": {"cost_tol": True}},
+     "cost_tol must be a positive finite number, got True"),
+    ("compare", {"N": 20, "dca": {"lp_tol": "1e-9"}},
+     "lp_tol must be a positive finite number, got '1e-9'"),
+    ("solve", {"dca": {"warm_start": "zero"}}, "warm_start must be 'l1', got 'zero'"),
+    ("solve", {"N": True}, "N must be an integer, got True"),
+    ("solve", {"T": True}, "T must be a number, got True"),
+    ("solve", {"penalty": 3}, "penalty spec must be a mapping, got int"),
+    ("solve", {"penalty": {"kind": "l1l2", "lambda": "x"}},
+     "penalty field 'lambda' must be numeric"),
+    ("solve", {"system": None}, "config is missing required key 'system'"),
+    ("solve", {"dca": [1]}, "config key 'dca' must be a mapping"),
+    ("compare", {"N": 20, "certificate": 1}, "config key 'certificate' must be a mapping"),
+    ("solve", {"penalty": [{"kind": "l1l2", "lambda": 0.1}]},
+     "'penalty' must be a single mapping for this command"),
+    ("oracle", {**PLANTED, "oracle": []}, "config key 'oracle' must be a mapping"),
+    ("oracle", {**PLANTED, "system": {"A": [[0.0]], "B": [[1.0, 1.0]]},
+                "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
+     "flat 'planted' requires m = 1 and length N"),
+    ("oracle", {**PLANTED, "oracle": {"random_planted": {}}},
+     "'random_planted' must be a mapping with 'support_size'"),
+    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 5}}},
+     "support_size must lie in [0, 4]"),
+    ("solve", {"system": [1]}, "config key 'system' must be a mapping with 'A' and 'B'"),
+    ("solve", {"system": {"A": [[0.0, 1.0]], "B": [[0.0], [1.0]]}},
+     "bad system matrices: A must be square, got (1, 2)"),
+    ("solve", {"x0": [1.0]}, "bad x0/T: x0 has length 1, expected 2"),
+    ("validate", {"validate": 1}, "config key 'validate' must be a mapping"),
 ]
 
 
@@ -792,6 +846,13 @@ def test_bad_config_value_is_a_configuration_error(tmp_path, capsys, command, ov
     capsys.readouterr()
     assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1]", encoding="utf-8")
+    assert main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "configuration error: config root must be a JSON object\n"
 
 
 def test_integer_fields_keep_integers_beyond_float_precision():
@@ -816,16 +877,15 @@ def test_parser_is_built_once():
 
 
 def test_flags_of_one_call_do_not_leak_into_the_next(tmp_path):
-    cfg = write_config(tmp_path, penalty={"kind": "scad", "lambda": 0.25, "alpha": 3.0},
-                       dca={"warm_start": "zero"})
+    cfg = write_config(tmp_path, penalty={"kind": "scad", "lambda": 0.25, "alpha": 3.0})
     flagged, plain = tmp_path / "flagged", tmp_path / "plain"
     assert main(["solve", "--config", cfg, "--output", str(flagged), "--seed", "3",
-                 "--warm-start", "l1", "--penalty", "l1l2 lambda=0.1"]) == 0
+                 "--penalty", "l1l2 lambda=0.1"]) == 0
     first = read_summary(flagged)
-    assert (first["seed"], first["warm_start"], first["kind"]) == (3, "l1", "l1l2")
+    assert (first["seed"], first["kind"]) == (3, "l1l2")
     assert main(["solve", "--config", cfg, "--output", str(plain)]) == 0
     second = read_summary(plain)
-    assert (second["seed"], second["warm_start"], second["kind"]) == (None, "zero", "scad")
+    assert (second["seed"], second["kind"]) == (None, "scad")
 
 
 def run_snapshot(argv, outdir, capsys):

@@ -163,6 +163,13 @@ def test_domain_checks():
         phi_subgradient(pen, 1.2)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan, math.inf])
+def test_subgradient_rejects_a_bad_eps(eps):
+    # a NaN eps would pass `eps <= 0` and give the lp kind NaN costs
+    with pytest.raises(ParameterError):
+        phi_subgradient(Penalty("lp", 0.8, p=0.5), np.array([0.0, 0.5]), eps=eps)
+
+
 # ---------------------------------------------------------------------------
 # assumption validation
 
