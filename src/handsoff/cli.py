@@ -4,13 +4,16 @@ Commands
     solve      run the DC iteration for one penalty, write trajectory + summary
     compare    run the plain l1 baseline and every configured penalty, write a table
     validate   check a penalty against the structural conditions
-    oracle     compare solver output against exhaustive enumeration or the
-               double-integrator certificate
+    oracle     compare solver output against exhaustive enumeration or, past
+               the enumeration cap, the support certificate
+
+On every plant, each ``compare`` row and each certificate-mode ``oracle`` run
+is certified against the lower bound on the support that the l1 LP's duals
+prove.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible problem,
-3 numerical failure, 4 assumption violated, 5 instance too large for the
-oracle.  Outputs are byte-reproducible across runs except for the wall-time
-field in summaries.
+3 numerical failure, 4 assumption violated.  Outputs are byte-reproducible
+across runs except for the wall-time field in summaries.
 """
 
 import argparse
@@ -31,31 +34,25 @@ from .errors import (
     HandsOffError,
     InfeasibleProblemError,
     NumericalError,
-    SizeError,
+    check_number,
 )
+from .lp import OPTIMAL, LpSolution
 from .oracle import (
     MAX_ENUM_VARS,
     CertificateTolerances,
     brute_force_l0,
-    double_integrator_certificate,
+    certificate,
     exact_instance,
+    support_lower_bound,
 )
 from .penalty import KINDS, Penalty, equivalence_constant, validate_assumption
-from .system import (
-    ControlProblem,
-    DiscreteProblem,
-    LinearSystem,
-    build_discrete,
-    double_integrator,
-    simulate,
-)
+from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 EXIT_ASSUMPTION = 4
-EXIT_SIZE = 5
 
 
 class ConfigError(HandsOffError, ValueError):
@@ -77,10 +74,8 @@ def penalty_from_mapping(doc) -> Penalty:
     kwargs = {}
     for key, attr in _PENALTY_FIELDS.items():
         if key in doc:
-            try:
-                kwargs[attr] = float(doc[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"penalty field {key!r} must be numeric") from None
+            check_number(f"penalty field {key!r}", doc[key], "a number", lambda v: True)
+            kwargs[attr] = float(doc[key])
     unknown = set(doc) - set(_PENALTY_FIELDS) - {"kind"}
     if unknown:
         raise ConfigError(f"unknown penalty fields {sorted(unknown)}")
@@ -99,7 +94,10 @@ def parse_penalty_spec(text: str) -> Penalty:
         key, sep, val = tok.partition("=")
         if not sep:
             raise ConfigError(f"penalty spec token {tok!r} is not key=value")
-        doc[key] = val
+        try:
+            doc[key] = float(val)
+        except ValueError:
+            doc[key] = val  # penalty_from_mapping reports it
     return penalty_from_mapping(doc)
 
 
@@ -184,6 +182,8 @@ def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
     delta = T / N
     if "planted" in sub:
         try:
+            if any(isinstance(v, bool) for v in np.asarray(sub["planted"], dtype=object).flat):
+                raise TypeError
             arr = np.asarray(sub["planted"], dtype=float)
         except (TypeError, ValueError):
             raise ConfigError("oracle.planted must be a flat or N x m array of "
@@ -236,11 +236,6 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad x0/T: {exc}") from exc
     return problem, None, N, None
-
-
-def _is_double_integrator(system: LinearSystem) -> bool:
-    plant = double_integrator()
-    return np.array_equal(system.A, plant.A) and np.array_equal(system.B, plant.B)
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +316,44 @@ class Case(NamedTuple):
 def _case(args, *, single: bool, tols: bool = False) -> Case:
     """Read the config in a fixed order, so a config with several faults
     reports the same one each time.  ``single``: one penalty, not a list.
-    ``tols``: read the certificate tolerances before making the output
-    directory (``compare``; ``oracle`` reads them after its size check)."""
+    ``tols``: read the certificate tolerances (``compare``, ``oracle``)."""
     doc = load_config(args.config)
     problem, dp, N, planted = _problem_from_config(doc, args.seed)
     penalties = _penalties_from_config(doc, args.penalty, want_list=not single)
     cfg = _dataclass_from_config(doc, "dca", DcaConfig)
-    certificate = _dataclass_from_config(doc, "certificate", CertificateTolerances) if tols else None
+    tolerances = _dataclass_from_config(doc, "certificate", CertificateTolerances) if tols else None
     outdir = _outdir(args, doc)
-    return Case(doc, problem, planted, penalties, cfg, certificate, outdir,
+    return Case(doc, problem, planted, penalties, cfg, tolerances, outdir,
                 build_discrete(problem, N) if dp is None else dp)
 
 
-def _outputs(case: Case, tols: CertificateTolerances | None):
+def _support_bound(case: Case, l1: LpSolution) -> float | None:
+    """``support_lower_bound`` from the l1 LP's duals; None unless it verified."""
+    if l1.status != OPTIMAL:
+        return None
+    return support_lower_bound(case.dp, l1.duals, case.cfg.l0_threshold)
+
+
+def _outputs(case: Case, bound: float | None):
     """``outputs(result, text=True)`` -> (trajectory text or None, certificate
     report or None) of a result's control.  The certificate runs on each
-    call, given ``tols`` and the double integrator.  Simulate and format run
-    once per distinct ``z_star`` (bit for bit): many penalties often stop at
-    one vertex."""
+    call, given the support bound ``bound``, on the result's own l0 and the
+    terminal state of its trajectory.  Simulate and format run once per
+    distinct ``z_star`` (bit for bit): many penalties often stop at one
+    vertex."""
     dp, x0 = case.dp, case.problem.x0
-    certify = tols is not None and _is_double_integrator(case.problem.system)
     shared: dict[bytes, list] = {}
 
     def outputs(result: DcaResult, text=True):
-        z, u = result.z_star, result.u_star
+        z = result.z_star
         entry = shared.setdefault(z.tobytes(), [None, None])
         if entry[0] is None:
             entry[0] = simulate(dp, x0, z)
         if text and entry[1] is None:
-            entry[1] = trajectory_csv(u, entry[0])
-        if not certify:
+            entry[1] = trajectory_csv(result.u_star, entry[0])
+        if bound is None:
             return entry[1], None
-        return entry[1], double_integrator_certificate(u, x0, dp.N * dp.delta, tols,
-                                                       states=entry[0])
+        return entry[1], certificate(result.l0, bound, entry[0][-1], dp.delta, case.tols)
 
     return outputs
 
@@ -432,8 +432,8 @@ def _comparison_table(path, rows) -> None:
 def cmd_compare(args) -> int:
     case = _case(args, single=False, tols=True)
     dp = case.dp
-    outputs = _outputs(case, case.tols)
     l1 = solve_l1(dp, case.cfg)  # the baseline row, and where every run starts
+    outputs = _outputs(case, _support_bound(case, l1))
 
     def row_fields(result, c, report):
         return {**_run_fields(result), "J_d": result.cost_history[-1], "c": c,
@@ -484,7 +484,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    case = _case(args, single=False)
+    case = _case(args, single=False, tols=True)
     dp, planted = case.dp, case.planted
     sub = case.doc.get("oracle", {})
 
@@ -492,6 +492,8 @@ def cmd_oracle(args) -> int:
     if planted is not None:
         report["planted_support_measure"] = l0_measure(planted)
 
+    l1 = solve_l1(dp, case.cfg)  # where every run starts
+    bound = None
     if dp.m * dp.N <= MAX_ENUM_VARS:
         if "eps" in sub:
             eps = _number(sub, "eps", "oracle")
@@ -508,20 +510,10 @@ def cmd_oracle(args) -> int:
             "n_minimizers": len(minimizers),
             "no_feasible_grid_point": not minimizers,
         })
-    elif _is_double_integrator(case.problem.system):
-        report.update({
-            "mode": "certificate",
-            "expected_l0": -float(case.problem.x0[1]),
-        })
     else:
-        raise SizeError(
-            f"m*N = {dp.m * dp.N} exceeds the enumeration cap and the system "
-            "has no analytic certificate"
-        )
-
-    outputs = _outputs(case, _dataclass_from_config(case.doc, "certificate",
-                                                    CertificateTolerances))
-    l1 = solve_l1(dp, case.cfg)  # where every run starts
+        bound = _support_bound(case, l1)
+        report.update({"mode": "certificate", "lower_bound": bound})
+    outputs = _outputs(case, bound)
 
     def run(pen):
         result = run_dca(dp, pen, case.cfg, l1)
@@ -561,7 +553,6 @@ OUTCOMES: dict[type, Outcome] = {
     NumericalError: Outcome("numerical_failure", EXIT_NUMERICAL, "numerical failure"),
     AssumptionViolationError: Outcome("assumption_violated", EXIT_ASSUMPTION,
                                       "assumption violated"),
-    SizeError: Outcome("config_error", EXIT_SIZE, "instance too large"),
     HandsOffError: Outcome("config_error", EXIT_CONFIG, "configuration error"),
 }
 

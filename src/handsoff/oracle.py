@@ -1,8 +1,11 @@
-"""Independent ground truth for small and analytically solvable instances.
+"""Independent ground truth for the solver's controls.
 
-Two routes, deliberately separate from the solver: an analytic certificate
-for the double-integrator benchmark, whose optimal controls are known in
-closed form up to the switching set, and an exhaustive search over the
+Two routes, deliberately separate from the DC iteration.  A support
+certificate, for any plant: weak duality for the plain l1 LP turns a dual
+vector into a lower bound on the support measure of every control that
+reaches the origin (``support_lower_bound``), and ``certificate`` passes a
+control whose support is within a tolerance of that bound and whose
+terminal state is at the origin.  And an exhaustive search over the
 three-level grid {-1, 0, 1}^(mN) for instances small enough to enumerate.
 The search goes level by level in support size k = 0, 1, ..., mN and stops
 at the first level with a feasible point; it stays exhaustive, because every
@@ -15,15 +18,14 @@ has a known feasible point.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dca import ControlSignal, l0_measure, split_control
+from .dca import ControlSignal, split_control
 from .errors import DimensionError, DomainError, ParameterError, SizeError, check_number
-from .linalg import as_matrix, as_vector
-from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete, double_integrator, simulate
+from .linalg import as_vector
+from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete
 
 MAX_ENUM_VARS = 16
 _CHUNK = 1 << 16  # grid points tested per matrix product
@@ -31,146 +33,72 @@ _CHUNK = 1 << 16  # grid points tested per matrix product
 
 @dataclass(frozen=True)
 class CertificateTolerances:
-    """Pass thresholds; ``l0`` and ``dblint`` default to grid-aware values
-    (2*delta and max(0.05, 4*delta) respectively) when left as None."""
+    """Pass thresholds: ``l0`` on how far a control's support measure may
+    exceed the proven lower bound (n*delta when None: an LP vertex holds at
+    most n samples strictly inside the box), ``terminal`` on the Euclidean
+    norm of the terminal state."""
 
-    value: float = 1e-3
     l0: float | None = None
-    dblint: float | None = None
     terminal: float = 1e-6
-    support_threshold: float = 1e-6
-    edge_window: int = 2
-    per_edge: int = 2
 
     def __post_init__(self):
-        for name in ("value", "l0", "dblint", "terminal", "support_threshold"):
-            val = getattr(self, name)
-            if val is None and name in ("l0", "dblint"):
-                continue
-            # `v >= 0` is False for NaN; inf switches a check off
-            check_number(f"tolerance {name!r}", val, "a nonnegative number", lambda v: v >= 0)
-        for name in ("edge_window", "per_edge"):
-            check_number(f"tolerance {name!r}", getattr(self, name), "a nonnegative integer",
-                         lambda v: v >= 0, numbers.Integral)
+        # `v >= 0` is False for NaN; inf switches a check off
+        if self.l0 is not None:
+            check_number("tolerance 'l0'", self.l0, "a nonnegative number", lambda v: v >= 0)
+        check_number("tolerance 'terminal'", self.terminal, "a nonnegative number",
+                     lambda v: v >= 0)
 
 
 @dataclass
 class CertificateReport:
-    value_deviation: float
-    l0_measured: float
-    l0_expected: float
-    dblint_measured: float
-    dblint_expected: float
+    l0: float
+    lower_bound: float
     terminal_norm: float
     passed: bool
-    n_fractional: int = 0
-    n_exempt: int = 0
 
 
-def _support_edges(support: np.ndarray) -> list[int]:
-    """Indices bounding each maximal support run (first and last sample)."""
-    idx = np.flatnonzero(support)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[idx[0]], idx[breaks + 1]])
-    ends = np.concatenate([idx[breaks], [idx[-1]]])
-    edges: list[int] = []
-    for s, e in zip(starts, ends):
-        edges.append(int(s))
-        if e != s:
-            edges.append(int(e))
-    return edges
+def support_lower_bound(dp: DiscreteProblem, duals, theta: float) -> float:
+    """A lower bound on the support measure, counted at ``theta``, of every
+    grid control with |u| <= 1 that steers dp's x0 exactly to the origin.
 
-
-def double_integrator_certificate(
-    u: ControlSignal,
-    x0,
-    T: float,
-    tols: CertificateTolerances | None = None,
-    *,
-    states: np.ndarray | None = None,
-) -> CertificateReport:
-    """Check a single-input signal against the closed-form optimality facts
-    for the double integrator started at x0 = (xi1, xi2) with xi2 < 0 and
-    steered to the origin over [0, T].
-
-    Facts checked: samples take values in {0, 1} (up to ``per_edge``
-    fractional samples near each support-run edge, where a grid vertex may
-    legitimately sit between bounds); the support measure equals -xi2; the
-    iterated integral of u from 0 equals -xi1 - xi2*T (compared through its
-    left-Riemann double sum); and simulating the signal lands on the origin.
-
-    ``states`` is the caller's trajectory of u, shape (N+1, 2), from x0 at
-    k = 0 to the terminal state at k = N; any other shape raises
-    DimensionError.  Without it the certificate discretizes the double
-    integrator over [0, T] and simulates u itself.
+    Weak duality for the l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1:
+    for any y in R^n and any feasible z,
+        sum(z) = sum(z) - y @ (Phi z + zeta)
+               = -y @ zeta + sum_j (1 - y @ Phi_j) z_j  >=  D(y),
+        D(y) = -y @ zeta + sum_j min(0, 1 - y @ Phi_j),
+    since each z_j lies in [0, 1].  A control with k of its m*N samples
+    above theta in magnitude has a split z with sum(z) = sum|u| <= k +
+    theta*m*N, so k >= D(y) - theta*m*N, and k is an integer:
+        k >= ceil(D(y) - r),    r = theta*m*N + 1e-9*max(1, |D(y)|),
+    where the last term covers the rounding in evaluating D.  Returns
+    delta*ceil(D(y) - r).  Any ``duals`` give a valid bound; the l1 LP's
+    optimal duals give the best one, D(y) = the l1 optimum.
     """
+    y = as_vector(duals, "duals")
+    D = float(-y @ dp.zeta + np.sum(np.minimum(0.0, 1.0 - y @ dp.Phi)))
+    r = theta * dp.m * dp.N + 1e-9 * max(1.0, abs(D))
+    return dp.delta * math.ceil(D - r)
+
+
+def certificate(l0: float, lower_bound: float, terminal: np.ndarray, delta: float,
+                tols: CertificateTolerances | None = None) -> CertificateReport:
+    """Certify a control by its support measure ``l0`` and its terminal
+    state ``terminal`` (shape (n,)): it passes when l0 is within ``tols.l0``
+    of ``lower_bound`` (``support_lower_bound``) and the terminal state's
+    norm is at most ``tols.terminal``; a non-finite terminal state fails.
+    ``delta`` is the grid step, which sets the default ``tols.l0`` =
+    n*delta.  Works on any plant; it neither measures nor simulates the
+    control."""
     tols = tols or CertificateTolerances()
-    x0 = as_vector(x0, "x0")
-    if x0.shape[0] != 2:
-        raise DimensionError(f"x0 must have length 2, got {x0.shape[0]}")
-    if u.m != 1:
-        raise DimensionError(f"certificate requires a single input, got m={u.m}")
-    if not np.isfinite(T) or T <= 0:
-        raise DomainError(f"T must be positive, got {T}")
-    N = u.N
-    delta = u.delta
-    if abs(N * delta - T) > 1e-9 * max(1.0, abs(T)):
-        raise DimensionError(f"u covers {N * delta}, expected horizon {T}")
-    xi1, xi2 = float(x0[0]), float(x0[1])
-    l0_expected = -xi2
-    dblint_expected = -xi1 - xi2 * T
-    l0_tol = 2.0 * delta if tols.l0 is None else tols.l0
-    dblint_tol = max(0.05, 4.0 * delta) if tols.dblint is None else tols.dblint
+    terminal_norm = float(np.linalg.norm(terminal))
+    l0_tol = len(terminal) * delta if tols.l0 is None else tols.l0
+    passed = terminal_norm <= tols.terminal and l0 - lower_bound <= l0_tol
+    return CertificateReport(l0, lower_bound, terminal_norm, passed)
 
-    s = u.samples[:, 0]
-    dist = np.minimum(np.abs(s), np.abs(s - 1.0))
-    support = np.abs(s) > tols.support_threshold
-    fractional = np.flatnonzero(dist > tols.value)
-    edges = _support_edges(support)
-    capacity = {e: tols.per_edge for e in edges}
-    exempt = np.zeros(s.shape[0], dtype=bool)
-    for f in fractional:
-        near = sorted((abs(f - e), e) for e in edges if abs(f - e) <= tols.edge_window)
-        for _, e in near:
-            if capacity[e] > 0:
-                capacity[e] -= 1
-                exempt[f] = True
-                break
-    checked = dist.copy()
-    checked[exempt] = 0.0
-    value_deviation = float(checked.max(initial=0.0))
 
-    l0_measured = l0_measure(u, tols.support_threshold)
-    dblint_measured = float(delta * delta * np.sum(np.cumsum(s)[:-1])) if N > 1 else 0.0
-
-    if states is None:
-        dp = build_discrete(ControlProblem(double_integrator(), x0, T), N)
-        states = simulate(dp, x0, split_control(u))
-    else:
-        states = as_matrix(states, "states")
-        if states.shape != (N + 1, 2):
-            raise DimensionError(f"states has shape {states.shape}, expected {(N + 1, 2)}")
-    terminal_norm = float(np.linalg.norm(states[-1]))
-
-    passed = (
-        value_deviation <= tols.value
-        and abs(l0_measured - l0_expected) <= l0_tol
-        and abs(dblint_measured - dblint_expected) <= dblint_tol
-        and terminal_norm <= tols.terminal
-    )
-    return CertificateReport(
-        value_deviation=value_deviation,
-        l0_measured=l0_measured,
-        l0_expected=l0_expected,
-        dblint_measured=dblint_measured,
-        dblint_expected=dblint_expected,
-        terminal_norm=terminal_norm,
-        passed=passed,
-        n_fractional=int(fractional.size),
-        n_exempt=int(exempt.sum()),
-    )
+# perfbench/tracing.py wraps the certificate under this name; the benchmark
+# is its only reader.
+double_integrator_certificate = certificate
 
 
 def brute_force_l0(dp: DiscreteProblem, eps: float = 1e-8) -> tuple[float, list[ControlSignal]]:

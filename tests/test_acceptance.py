@@ -12,16 +12,11 @@ import numpy as np
 import pytest
 
 from handsoff.cli import main
-from handsoff.dca import ControlSignal, DcaConfig, run_dca
+from handsoff.dca import ControlSignal, DcaConfig, run_dca, solve_l1
 from handsoff.errors import ParameterError
 from handsoff.linalg import expm, zoh_discretize
 from handsoff.lp import LpProblem, solve_lp
-from handsoff.oracle import (
-    CertificateTolerances,
-    brute_force_l0,
-    double_integrator_certificate,
-    make_exact_instance,
-)
+from handsoff.oracle import brute_force_l0, certificate, make_exact_instance, support_lower_bound
 from handsoff.penalty import (
     Penalty,
     equivalence_constant,
@@ -29,14 +24,19 @@ from handsoff.penalty import (
     phi_subgradient,
     validate_assumption,
 )
-from handsoff.system import ControlProblem, LinearSystem, build_discrete, double_integrator
+from handsoff.system import (
+    ControlProblem,
+    LinearSystem,
+    build_discrete,
+    double_integrator,
+    simulate,
+)
 
 from test_lp import enumerate_optimum, random_feasible_problem
 from test_penalty import BENCHMARK, CATALOG, _branch_points
 
 X0 = np.array([1.0, -1.0])
 T = 5.0
-FAST_TOLS = CertificateTolerances(l0=0.05, dblint=0.1)
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -88,24 +88,37 @@ def planted_runs():
 
 
 def test_criterion_1_benchmark_reproduction(full_runs, fast_runs):
+    # The closed-form facts of the double integrator from x0 = (xi1, xi2):
+    # |u| in {0, 1} but for at most n fractional samples (an LP vertex), l0
+    # within 2*delta of -xi2, the double integral of u, which on the grid is
+    # exactly delta * sum((T - (k + 1/2)*delta) * u_k) = -xi1 - xi2*T, and the
+    # terminal state at the origin.  The support certificate passes as well.
     failures = []
     checked = 0
     max_wall = 0.0
-    for (prob, dp, runs), tols, label in ((full_runs, None, "N=1000"),
-                                          (fast_runs, FAST_TOLS, "N=200")):
+    xi1, xi2 = X0
+    for (prob, dp, runs), label in ((full_runs, "N=1000"), (fast_runs, "N=200")):
+        bound = support_lower_bound(dp, solve_l1(dp).duals, DcaConfig().l0_threshold)
+        mid = (np.arange(dp.N) + 0.5) * dp.delta
         for pen, res, wall in runs:
-            rep = double_integrator_certificate(res.u_star, prob.x0, T, tols)
+            u = res.u_star.samples[:, 0]
+            fractional = np.count_nonzero(np.minimum(np.abs(u), np.abs(np.abs(u) - 1.0)) > 1e-9)
+            dblint = dp.delta * np.sum((T - mid) * u)
+            terminal = simulate(dp, prob.x0, res.z_star)[-1]
+            norm = np.linalg.norm(terminal)
+            passed = certificate(res.l0, bound, terminal, dp.delta).passed
             checked += 1
             max_wall = max(max_wall, wall)
-            if not rep.passed:
-                failures.append(f"{label}/{pen.kind}: value={rep.value_deviation:.2e} "
-                                f"l0={rep.l0_measured:.4f} dbl={rep.dblint_measured:.4f} "
-                                f"terminal={rep.terminal_norm:.2e}")
+            if not (fractional <= dp.n and abs(res.l0 + xi2) <= 2 * dp.delta
+                    and abs(dblint + xi1 + xi2 * T) <= 1e-6 and norm <= 1e-6 and passed):
+                failures.append(f"{label}/{pen.kind}: fractional={fractional} l0={res.l0:.4f} "
+                                f"dbl={dblint:.6f} terminal={norm:.2e} certificate={passed}")
             if wall > 60.0:
                 failures.append(f"{label}/{pen.kind}: wall {wall:.1f}s > 60s")
     ok = not failures
     _line(1, ok, f"benchmark reproduction: {checked - len(failures)}/{checked} "
-                 f"certificates passed, max wall {max_wall:.2f}s"
+                 f"runs met the closed form and passed the certificate, "
+                 f"max wall {max_wall:.2f}s"
                  + (f"; failures: {failures}" if failures else ""))
     assert ok, failures
 

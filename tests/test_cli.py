@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from handsoff import cli
 from handsoff.cli import ConfigError, main
-from handsoff.dca import DcaConfig
+from handsoff.dca import DcaConfig, solve_l1
 from handsoff.errors import (
     AssumptionViolationError,
     DimensionError,
@@ -21,6 +22,7 @@ from handsoff.errors import (
 )
 from handsoff.oracle import CertificateTolerances
 from handsoff.penalty import Penalty
+from handsoff.system import ControlProblem, LinearSystem, build_discrete
 from handsoff.cli import parse_penalty_spec, penalty_from_mapping, penalty_label
 
 
@@ -447,10 +449,9 @@ def test_planted_oracle_discretizes_once(tmp_path, monkeypatch):
 
 
 def count_simulate_calls(monkeypatch):
-    """Wrap simulate where cli and oracle bind it; returns the list of
-    calls, one N per call."""
+    """Wrap simulate where cli binds it (the certificate simulates nothing);
+    returns the list of calls, one N per call."""
     import handsoff.cli
-    import handsoff.oracle
 
     calls = []
     original = handsoff.cli.simulate
@@ -459,8 +460,7 @@ def count_simulate_calls(monkeypatch):
         calls.append(dp.N)
         return original(dp, x0, z)
 
-    for mod in (handsoff.cli, handsoff.oracle):
-        monkeypatch.setattr(mod, "simulate", counting)
+    monkeypatch.setattr(handsoff.cli, "simulate", counting)
     return calls
 
 
@@ -617,7 +617,7 @@ ERROR_OUTCOMES = [
     (InfeasibleProblemError, "infeasible", 2, "infeasible"),
     (NumericalError, "numerical_failure", 3, "numerical failure"),
     (AssumptionViolationError, "assumption_violated", 4, "assumption violated"),
-    (SizeError, "config_error", 5, "instance too large"),
+    (SizeError, "config_error", 1, "configuration error"),
 ]
 
 
@@ -756,16 +756,44 @@ def test_oracle_certificate_mode(tmp_path):
     assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
     report = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
     assert report["mode"] == "certificate"
-    assert report["expected_l0"] == pytest.approx(1.0)
+    assert report["lower_bound"] == pytest.approx(1.0)
     run = report["runs"][0]
     assert run["certificate"] == "pass"
     assert abs(run["l0"] - 1.0) <= 0.05
+    assert sorted(run["certificate_report"]) == ["l0", "lower_bound", "passed", "terminal_norm"]
 
 
 def test_oracle_size_error(tmp_path):
+    # past the enumeration cap every plant has the certificate, not only the
+    # double integrator: no size error
     cfg = write_config(tmp_path, system={"A": [[0.0]], "B": [[1.0]]},
-                       x0=[1.0], N=20, T=5.0)
-    assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "o")]) == 5
+                       x0=[1.0], N=20, T=5.0,
+                       penalty=[{"kind": "l1l2", "lambda": 0.1},
+                                {"kind": "scad", "lambda": 0.25, "alpha": 3.0}])
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
+    report = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
+    assert report["mode"] == "certificate"
+    dp = build_discrete(ControlProblem(LinearSystem([[0.0]], [[1.0]]), np.array([1.0]), 5.0), 20)
+    assert report["lower_bound"] == dp.delta * math.ceil(solve_l1(dp).objective) == 1.0
+    assert [run["certificate"] for run in report["runs"]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("x0,bound", [([0.0, -2.0], 4.0), ([-1.0, 1.0], 1.0)])
+def test_double_integrator_outside_the_closed_form_is_certified(tmp_path, x0, bound):
+    # l0 = -xi2 fails here (-xi2 = 2 and -1); the bound the l1 LP proves holds
+    pens = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                       / "double_integrator_fast.json").read_text())["penalty"]
+    cfg = write_config(tmp_path, x0=x0, N=200, penalty=pens)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
+    rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 7
+    assert all(float(row[2]) == bound and row[-1] == "pass" for row in rows)
+    assert main(["oracle", "--config", cfg, "--output", str(out)]) == 0
+    report = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
+    assert report["lower_bound"] == bound
+    assert [run["certificate"] for run in report["runs"]] == ["pass"] * 6
 
 
 PLANTED = {"N": 4, "T": 2.0, "x0": None, "penalty": [{"kind": "l1l2", "lambda": 0.1}]}
@@ -778,14 +806,14 @@ BAD_VALUES = [
      "validate.grid_size must be an integer, got 'x'"),
     ("validate", {"validate": {"margin": "x"}},
      "validate.margin must be a number, got 'x'"),
-    ("compare", {"N": 20, "certificate": {"value": "x"}},
-     "tolerance 'value' must be a nonnegative number, got 'x'"),
-    ("compare", {"N": 20, "certificate": {"edge_window": "x"}},
-     "tolerance 'edge_window' must be a nonnegative integer, got 'x'"),
-    ("oracle", {"N": 200, "certificate": {"value": "x"}},
-     "tolerance 'value' must be a nonnegative number, got 'x'"),
-    ("oracle", {"N": 200, "certificate": {"edge_window": "x"}},
-     "tolerance 'edge_window' must be a nonnegative integer, got 'x'"),
+    ("compare", {"N": 20, "certificate": {"l0": "x"}},
+     "tolerance 'l0' must be a nonnegative number, got 'x'"),
+    ("compare", {"N": 20, "certificate": {"terminal": -1}},
+     "tolerance 'terminal' must be a nonnegative number, got -1"),
+    ("oracle", {"N": 200, "certificate": {"l0": True}},
+     "tolerance 'l0' must be a nonnegative number, got True"),
+    ("oracle", {"N": 200, "certificate": {"terminal": "x"}},
+     "tolerance 'terminal' must be a nonnegative number, got 'x'"),
     ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": "x"}}},
      "oracle.random_planted.support_size must be an integer, got 'x'"),
     ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 1.5}}},
@@ -817,7 +845,7 @@ BAD_VALUES = [
     ("solve", {"T": True}, "T must be a number, got True"),
     ("solve", {"penalty": 3}, "penalty spec must be a mapping, got int"),
     ("solve", {"penalty": {"kind": "l1l2", "lambda": "x"}},
-     "penalty field 'lambda' must be numeric"),
+     "penalty field 'lambda' must be a number, got 'x'"),
     ("solve", {"system": None}, "config is missing required key 'system'"),
     ("solve", {"dca": [1]}, "config key 'dca' must be a mapping"),
     ("compare", {"N": 20, "certificate": 1}, "config key 'certificate' must be a mapping"),
@@ -836,6 +864,15 @@ BAD_VALUES = [
      "bad system matrices: A must be square, got (1, 2)"),
     ("solve", {"x0": [1.0]}, "bad x0/T: x0 has length 1, expected 2"),
     ("validate", {"validate": 1}, "config key 'validate' must be a mapping"),
+    ("solve", {"penalty": {"kind": "l1l2", "lambda": True}},
+     "penalty field 'lambda' must be a number, got True"),
+    ("oracle", {**PLANTED, "oracle": {"planted": [True, 0.0, 0.0, 0.0]}},
+     "oracle.planted must be a flat or N x m array of numbers, got [True, 0.0, 0.0, 0.0]"),
+    ("oracle", {**PLANTED, "oracle": {"planted": [[1.0], [False], [0.0], [0.0]]}},
+     "oracle.planted must be a flat or N x m array of numbers, "
+     "got [[1.0], [False], [0.0], [0.0]]"),
+    ("compare", {"N": 20, "certificate": {"dblint": 0.1}},
+     "unknown certificate fields ['dblint']"),
 ]
 
 
@@ -863,10 +900,13 @@ def test_integer_fields_keep_integers_beyond_float_precision():
     assert _number({"N": 8.0}, "N", None, int) == 8
 
 
-def test_oracle_size_error_comes_before_the_certificate(tmp_path):
+def test_oracle_size_error_comes_before_the_certificate(tmp_path, capsys):
+    # with no size error past the cap, a bad tolerance is what gets reported
     cfg = write_config(tmp_path, system={"A": [[0.0]], "B": [[1.0]]},
-                       x0=[1.0], N=20, T=5.0, certificate={"value": "x"})
-    assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "o")]) == 5
+                       x0=[1.0], N=20, T=5.0, certificate={"l0": "x"})
+    assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: tolerance 'l0' must be a nonnegative number, got 'x'\n")
 
 
 # ---------------------------------------------------------------------------

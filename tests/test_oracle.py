@@ -1,19 +1,21 @@
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handsoff import oracle
-from handsoff.dca import ControlSignal, split_control
+from handsoff.dca import ControlSignal, l0_measure, solve_l1, split_control
 from handsoff.errors import DimensionError, DomainError, ParameterError, SizeError
 from handsoff.oracle import (
-    CertificateReport,
     CertificateTolerances,
     brute_force_l0,
-    double_integrator_certificate,
+    certificate,
     exact_instance,
     make_exact_instance,
+    support_lower_bound,
 )
 from handsoff.system import (
     ControlProblem,
@@ -25,9 +27,6 @@ from handsoff.system import (
 
 X0 = np.array([1.0, -1.0])
 T = 5.0
-
-# thresholds that disable everything except the 0/1-value check
-VALUE_ONLY = CertificateTolerances(l0=np.inf, dblint=np.inf, terminal=np.inf)
 
 
 def indicator_signal(N, lo=0.5, hi=1.5):
@@ -41,32 +40,37 @@ def scalar_integrator():
     return LinearSystem(np.zeros((1, 1)), np.ones((1, 1)))
 
 
+def certify(u, x0=X0, horizon=T, tols=None):
+    """The certificate of ``u`` on the double integrator from x0 over
+    [0, horizon], taken as ``compare`` takes it: the bound from the l1 LP's
+    duals, u's own support and the terminal state of its trajectory."""
+    dp = build_discrete(ControlProblem(double_integrator(), x0, horizon), u.N)
+    bound = support_lower_bound(dp, solve_l1(dp).duals, 1e-6)
+    terminal = simulate(dp, x0, split_control(u))[-1]
+    return certificate(l0_measure(u), bound, terminal, dp.delta, tols)
+
+
 # ---------------------------------------------------------------------------
-# closed-form certificate on the benchmark plant
+# the support bound and the certificate
 
 @pytest.mark.parametrize("N", [1000, 200])
 def test_certificate_accepts_unit_indicator(N):
-    u = indicator_signal(N)
-    report = double_integrator_certificate(u, X0, T)
+    report = certify(indicator_signal(N))
     assert report.passed
-    assert report.value_deviation == 0.0
-    assert report.l0_measured == pytest.approx(1.0, abs=1e-12)
-    assert report.l0_expected == pytest.approx(1.0, abs=1e-15)
-    assert report.dblint_expected == pytest.approx(4.0, abs=1e-15)
-    assert abs(report.dblint_measured - 4.0) <= 0.05
+    assert report.l0 == pytest.approx(1.0, abs=1e-12)
+    assert report.lower_bound == pytest.approx(1.0, abs=1e-12)  # = -xi2
     assert report.terminal_norm <= 1e-9
-    assert report.n_fractional == 0
 
 
 def test_certificate_takes_the_callers_states():
-    N = 400
-    u = indicator_signal(N)
-    dp = build_discrete(ControlProblem(double_integrator(), X0, T), N)
-    states = simulate(dp, X0, split_control(u))
-    assert double_integrator_certificate(u, X0, T, states=states) == double_integrator_certificate(u, X0, T)
-    for bad in (states[:-1], states[:, :1], np.hstack([states, states[:, :1]]), states[:, 0]):
-        with pytest.raises(DimensionError):
-            double_integrator_certificate(u, X0, T, states=bad)
+    # it reads the terminal state it is given and simulates nothing
+    u = indicator_signal(400)
+    dp = build_discrete(ControlProblem(double_integrator(), X0, T), 400)
+    terminal = simulate(dp, X0, split_control(u))[-1]
+    assert certificate(1.0, 1.0, terminal, dp.delta).passed
+    missed = certificate(1.0, 1.0, terminal + [1e-3, 0.0], dp.delta)
+    assert not missed.passed
+    assert missed.terminal_norm == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_certificate_rejects_scaled_indicator():
@@ -76,64 +80,68 @@ def test_certificate_rejects_scaled_indicator():
     delta = T / N
     t = np.arange(N) * delta
     s = 0.5 * (t < 2.0).astype(float)
-    report = double_integrator_certificate(ControlSignal(delta, s[:, None]), X0, T)
+    report = certify(ControlSignal(delta, s[:, None]))
     assert not report.passed
-    assert report.value_deviation == pytest.approx(0.5, abs=1e-12)
     assert report.terminal_norm <= 1e-9  # it does reach the origin
-    assert report.l0_measured == pytest.approx(2.0, abs=1e-12)
+    assert report.l0 == pytest.approx(2.0, abs=1e-12)
+    assert report.lower_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_certificate_rejects_wrong_support_size():
-    u = indicator_signal(1000, lo=0.5, hi=2.5)
-    tols = CertificateTolerances(l0=0.1, dblint=np.inf, terminal=np.inf)
-    report = double_integrator_certificate(u, X0, T, tols)
+    report = certify(indicator_signal(1000, lo=0.5, hi=2.5),
+                     tols=CertificateTolerances(l0=0.1, terminal=np.inf))
     assert not report.passed
-    assert abs(report.l0_measured - report.l0_expected) > 0.1
+    assert report.l0 - report.lower_bound > 0.1
 
 
-def test_certificate_exempts_edge_fractions():
-    s = np.array([0.3, 1.0, 1.0, 1.0, 0.7, 0.0, 0.0, 0.0])
-    u = ControlSignal(0.5, s[:, None])
-    report = double_integrator_certificate(u, X0, 4.0, VALUE_ONLY)
-    assert report.n_fractional == 2
-    assert report.n_exempt == 2
-    assert report.value_deviation == 0.0
-    assert report.passed
-
-
-def test_certificate_keeps_interior_fractions():
-    s = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0])
-    u = ControlSignal(0.5, s[:, None])
-    report = double_integrator_certificate(u, X0, 4.5, VALUE_ONLY)
-    assert report.n_fractional == 1
-    assert report.n_exempt == 0
-    assert report.value_deviation == pytest.approx(0.5)
-    assert not report.passed
-
-
-def test_certificate_edge_capacity_is_limited():
-    s = np.array([0.3, 0.4, 0.6, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.8])
-    u = ControlSignal(0.5, s[:, None])
-    report = double_integrator_certificate(u, X0, 5.0, VALUE_ONLY)
-    assert report.n_fractional == 4
-    assert report.n_exempt == 3  # two at the left edge, one at the right
-    assert report.value_deviation == pytest.approx(0.4)
-    assert not report.passed
+def test_certificate_default_l0_tolerance_is_n_delta():
+    delta = 0.01
+    for n in (1, 2, 3):
+        assert certificate(n * delta, 0.0, np.zeros(n), delta).passed
+        assert not certificate((n + 0.01) * delta, 0.0, np.zeros(n), delta).passed
 
 
 def test_certificate_zero_signal_from_origin():
-    u = ControlSignal(0.5, np.zeros((4, 1)))
-    report = double_integrator_certificate(u, np.zeros(2), 2.0)
+    report = certify(ControlSignal(0.5, np.zeros((4, 1))), x0=np.zeros(2), horizon=2.0)
     assert report.passed
-    assert report.l0_measured == 0.0
-    assert report.dblint_measured == 0.0
+    assert report.l0 == report.lower_bound == 0.0
     assert report.terminal_norm == 0.0
 
 
+@pytest.mark.parametrize("x0,N,expected", [
+    ((1.0, -1.0), 200, 1.0), ((1.0, -1.0), 1000, 1.0), ((1.0, -1.0), 4000, 1.0),
+    # outside the closed form's region l0 = -xi2
+    ((0.0, -2.0), 200, 4.0), ((-1.0, 1.0), 200, 1.0),
+])
+def test_support_lower_bound_on_the_double_integrator(x0, N, expected):
+    dp = build_discrete(ControlProblem(double_integrator(), np.array(x0), T), N)
+    l1 = solve_l1(dp)
+    bound = support_lower_bound(dp, l1.duals, 1e-6)
+    assert bound == pytest.approx(expected, abs=1e-12)
+    assert bound == pytest.approx(dp.delta * math.ceil(l1.objective - 1e-6), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_support_lower_bound_never_exceeds_the_enumerated_minimum(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    N = int(rng.integers(1, 8 // m + 1))
+    sys_ = LinearSystem(rng.normal(scale=0.5, size=(n, n)), rng.normal(size=(n, m)))
+    flat = np.zeros(m * N)
+    k = int(rng.integers(1, min(3, m * N) + 1))
+    flat[rng.choice(m * N, size=k, replace=False)] = rng.choice([-1.0, 1.0], size=k)
+    planted = ControlSignal(4.0 / N, flat.reshape(N, m))
+    dp = build_discrete(make_exact_instance(sys_, 4.0, N, planted), N)
+    best = brute_force_l0(dp)[0]
+    # the l1 LP's duals give the best bound; any other y gives a valid one
+    assert support_lower_bound(dp, solve_l1(dp).duals, 1e-6) <= best
+    assert support_lower_bound(dp, rng.normal(size=n), 1e-6) <= best
+
+
 @pytest.mark.parametrize("field,value", [
-    ("value", "x"), ("value", -1.0), ("value", float("nan")), ("value", True),
-    ("l0", "x"), ("dblint", -0.1), ("terminal", None), ("support_threshold", [1]),
-    ("edge_window", "x"), ("edge_window", 1.5), ("edge_window", -1), ("per_edge", None),
+    ("l0", "x"), ("l0", -0.1), ("l0", float("nan")), ("l0", True),
+    ("terminal", None), ("terminal", -1.0), ("terminal", [1]),
 ])
 def test_certificate_tolerances_validation(field, value):
     with pytest.raises(ParameterError, match=field):
@@ -141,20 +149,19 @@ def test_certificate_tolerances_validation(field, value):
 
 
 def test_certificate_tolerances_accept_inf_and_numpy_scalars():
-    CertificateTolerances(value=np.float64(0.0), l0=np.inf, edge_window=np.int64(0), per_edge=0)
+    CertificateTolerances(l0=np.float64(0.0), terminal=np.inf)
+    assert [f.name for f in fields(CertificateTolerances)] == ["l0", "terminal"]
 
 
 def test_certificate_input_validation():
-    u = indicator_signal(100)
-    with pytest.raises(DimensionError):
-        double_integrator_certificate(u, np.zeros(3), T)
+    # a trajectory that overflowed or went NaN fails the certificate; it
+    # does not raise, so a compare row keeps its status
+    for bad in (np.inf, np.nan):
+        report = certificate(1.0, 1.0, np.array([bad, 0.0]), 0.01)
+        assert not report.passed
     with pytest.raises(DomainError):
-        double_integrator_certificate(u, X0, -1.0)
-    with pytest.raises(DimensionError):
-        double_integrator_certificate(u, X0, 2.0)  # horizon mismatch
-    two_input = ControlSignal(1.0, np.zeros((2, 2)))
-    with pytest.raises(DimensionError):
-        double_integrator_certificate(two_input, X0, 2.0)
+        support_lower_bound(build_discrete(ControlProblem(double_integrator(), X0, T), 10),
+                            [np.nan, 0.0], 1e-6)
 
 
 # ---------------------------------------------------------------------------
