@@ -142,19 +142,14 @@ def _dataclass_from_config(doc: dict, key: str, cls):
 
 
 def _number(sub: dict, key: str, section: str | None, kind=float):
-    """``kind(sub[key])``; a ConfigError naming ``section.key`` (``key`` at
-    the top level) if that fails, if the value is a bool, or if ``int``
-    would truncate it."""
+    """``kind(sub[key])`` if ``check_number`` passes it (for ``int``, a whole
+    number); its error names ``section.key`` (``key`` at the top level)."""
     raw = _require(sub, key)
-    try:
-        if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
-                                     and not raw.is_integer()):
-            raise ValueError
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        name = key if section is None else f"{section}.{key}"
-        raise ConfigError(f"{name} must be {what}, got {raw!r}") from None
+    whole = kind is int
+    check_number(key if section is None else f"{section}.{key}", raw,
+                 "an integer" if whole else "a number",
+                 lambda v: not whole or isinstance(v, int) or float(v).is_integer())
+    return kind(raw)
 
 
 def _penalties_from_config(doc: dict, inline: str | None, *, want_list: bool):
@@ -562,10 +557,17 @@ def _outcome(exc: HandsOffError) -> Outcome:
     return next(OUTCOMES[c] for c in type(exc).__mro__ if c in OUTCOMES)
 
 
-def _outdir(args, doc: dict):
-    out = args.output or doc.get("output_dir") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+def _outdir(args, doc: dict) -> Path:
+    """``--output``, else the string ``output_dir``, else "."; made if missing."""
+    out = doc.get("output_dir")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a string, got {out!r}")
+    path = Path(args.output or out or ".")
+    if not path.is_dir():
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 

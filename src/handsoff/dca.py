@@ -31,7 +31,7 @@ from .errors import (
     check_number,
 )
 from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, LpStart, solve_lp
-from .penalty import Penalty, phi, phi_subgradient, validate_assumption
+from .penalty import Penalty, _psi_abs, phi_subgradient, validate_assumption
 from .system import DiscreteProblem
 
 _BOX_SLACK = 1e-6
@@ -48,11 +48,11 @@ class ControlSignal:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[0] < 1 or self.samples.shape[1] < 1:
             raise DimensionError(f"samples must be (N, m), got {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise DomainError("samples contain non-finite entries")
-        if np.max(np.abs(self.samples)) > 1.0 + _BOX_SLACK:
+        if not np.abs(self.samples).max() <= 1.0 + _BOX_SLACK:  # also False for NaN
+            if not np.isfinite(self.samples).all():
+                raise DomainError("samples contain non-finite entries")
             raise DomainError("samples exceed the unit amplitude bound")
-        if not np.isfinite(self.delta) or self.delta <= 0:
+        if not math.isfinite(self.delta) or self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
 
     @property
@@ -115,21 +115,21 @@ def split_control(u: ControlSignal) -> np.ndarray:
 def recombine(z: np.ndarray, delta: float, m: int) -> ControlSignal:
     """Inverse of the split, u = v - w samplewise, after clipping z to [0, 1]:
     an LP vertex's entry at -1e-14 gives u = 0.  The one split-to-control map."""
-    vw = np.clip(z, 0.0, 1.0).reshape(-1, 2 * m)
+    vw = z.clip(0.0, 1.0).reshape(-1, 2 * m)
     return ControlSignal(delta, vw[:, :m] - vw[:, m:])
 
 
 def cost_jd(pen: Penalty, z: np.ndarray, tol: float = 1e-6) -> float:
     """Discrete objective: sum(z) minus the summed gaps, per sample (no delta factor)."""
-    if z.size and (z.min() < -tol or z.max() > 1.0 + tol):
-        raise DomainError("split control leaves [0, 1] beyond tol")
-    zc = np.clip(z, 0.0, 1.0)
-    return float(np.sum(zc) - np.sum(phi(pen, zc)))
+    if z.size and not (z.min() >= -tol and z.max() <= 1.0 + tol):  # also False for NaN
+        raise DomainError("split control leaves [0, 1] beyond tol or is not finite")
+    zc = z.clip(0.0, 1.0)  # the gaps are phi(zc)'s, unchecked: zc is in the box
+    return float(zc.sum() - (np.abs(zc) - _psi_abs(pen, np.abs(zc))).sum())
 
 
 def l0_measure(u: ControlSignal, theta: float = 1e-6) -> float:
     """Support measure: delta times the number of samples with |u| > theta."""
-    if not np.isfinite(theta) or theta <= 0:
+    if not math.isfinite(theta) or theta <= 0:
         raise ParameterError(f"theta must be positive, got {theta}")
     return float(u.delta * np.count_nonzero(np.abs(u.samples) > theta))
 
@@ -137,7 +137,7 @@ def l0_measure(u: ControlSignal, theta: float = 1e-6) -> float:
 def bang_off_bang_deviation(u: ControlSignal) -> float:
     """Max samplewise distance to the three-point set {-1, 0, 1}."""
     a = np.abs(u.samples)
-    return float(np.max(np.minimum(a, np.abs(a - 1.0))))
+    return float(np.minimum(a, np.abs(a - 1.0)).max())
 
 
 def checked_lp(sol: LpSolution, what: str, tol: float) -> LpSolution:
@@ -172,7 +172,7 @@ def l1_result(dp: DiscreteProblem, cfg: DcaConfig, l1: LpSolution) -> DcaResult:
     """The l1 LP's solution ``l1`` measured as a one-LP run whose one cost
     is J_d = sum of the clipped z."""
     sol = checked_lp(l1, "the l1 baseline", cfg.lp_tol)
-    return _result(dp, cfg, sol.z, cost_history=[float(np.sum(np.clip(sol.z, 0.0, 1.0)))],
+    return _result(dp, cfg, sol.z, cost_history=[float(sol.z.clip(0.0, 1.0).sum())],
                    feas_history=[sol.eq_residual], iterations=1, lp_solves=1,
                    stop_reason=sol.status, max_kkt_residual=sol.kkt_residual)
 
@@ -184,7 +184,7 @@ def _result(dp: DiscreteProblem, cfg: DcaConfig, z: np.ndarray, **run) -> DcaRes
     m = dp.m
     u_star = recombine(z, dp.delta, m)
     vw = z.reshape(dp.N, 2 * m)
-    comp = float(np.max(np.minimum(vw[:, :m], vw[:, m:]), initial=0.0))
+    comp = float(np.minimum(vw[:, :m], vw[:, m:]).max(initial=0.0))
     return DcaResult(z_star=z, u_star=u_star, l0=l0_measure(u_star, cfg.l0_threshold),
                      feas_residual=run["feas_history"][-1], complementarity_violation=comp,
                      bob_deviation=bang_off_bang_deviation(u_star), **run)
@@ -227,10 +227,11 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
                      "the l1 warm start", cfg.lp_tol)
     z, max_kkt, prev_cost = sol.z, sol.kkt_residual, cost_jd(pen, sol.z)
     cost_history, feas_history = [prev_cost], [sol.eq_residual]
+    beq = -dp.zeta
     stop_reason = "max_iter"
     for iterations in range(1, cfg.max_iter + 1):
-        s = phi_subgradient(pen, np.clip(z, 0.0, 1.0), eps=cfg.lp_epsilon)
-        sol = checked_lp(solve_lp(LpProblem(1.0 - s, dp.Phi, -dp.zeta), tol=cfg.lp_tol,
+        s = phi_subgradient(pen, z.clip(0.0, 1.0), eps=cfg.lp_epsilon)
+        sol = checked_lp(solve_lp(LpProblem(1.0 - s, dp.Phi, beq), tol=cfg.lp_tol,
                                   start=sol.start), f"iteration {iterations}", cfg.lp_tol)
         max_kkt = max(max_kkt, sol.kkt_residual)
         cost_new = cost_jd(pen, sol.z)
@@ -239,7 +240,7 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             break
         cost_history.append(cost_new)
         feas_history.append(sol.eq_residual)
-        step = float(np.max(np.abs(sol.z - z)))
+        step = float(np.abs(sol.z - z).max())
         done_cost = abs(cost_new - prev_cost) <= cfg.cost_tol
         z, prev_cost = sol.z, cost_new
         if done_cost:

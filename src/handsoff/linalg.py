@@ -37,7 +37,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(f"{name} must be 2-D with positive shape, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite entries")
     return arr
 
@@ -46,7 +46,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise DimensionError(f"{name} must be 1-D with positive length, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite entries")
     return arr
 
@@ -62,7 +62,7 @@ def expm(M) -> np.ndarray:
     n, cols = A.shape
     if n != cols:
         raise DimensionError(f"M must be square, got {A.shape}")
-    norm = float(np.linalg.norm(A, 1))
+    norm = float(np.abs(A).sum(axis=0).max())  # the 1-norm, as np.linalg.norm(A, 1)
     s = 0 if norm <= _THETA13 else int(np.ceil(np.log2(norm / _THETA13)))
     if s > 0:
         A = A / (2.0 ** s)  # exact: power-of-two scaling

@@ -44,15 +44,18 @@ when phase 2 verifies, otherwise the basis phase 2 began from.  Either is
 primal feasible for ``(Aeq, beq)`` and a new cost never breaks primal
 feasibility, so passing it back as ``solve_lp(..., start=...)`` skips phase
 1 and starts phase 2 from a copy of it.  The start holds the augmented
-matrix and the fresh point of its basis, so a warm solve neither rebuilds
-the one nor solves for the other; a cold solve's phase 2 likewise starts
-from phase 1's point.  A chain of nearby objectives (the DC iteration) then
-re-optimizes from the previous optimum in a few pivots, and an objective
-re-solved from its own returned start makes none.  A warm solve is optimal
-at the same verified tolerance as a solve from scratch, but on ties it may
-return another optimal vertex; it runs no phase 1 and reports 0.0 for it.
+matrix, phase 2's bounds and the fresh point of its basis, so a warm solve
+builds none of them and solves only for the duals; a cold solve's phase 2
+likewise starts from phase 1's point.  The verdict takes the equality
+residual once and ``kkt_residual``'s value from it.  A chain of nearby
+objectives (the DC iteration) then re-optimizes from the previous optimum in
+a few pivots, and an objective re-solved from its own returned start makes
+none.  A warm solve is optimal at the same verified tolerance as a solve
+from scratch, but on ties it may return another optimal vertex; it runs no
+phase 1 and reports 0.0 for it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +71,7 @@ _LOWER, _UPPER, _BASIC = 0, 1, 2
 _PIVOT_TOL = 1e-11
 _DEGEN_TOL = 1e-12
 _REFACTOR_EVERY = 32  # basis changes between fresh solves of the basis
+_SIGN = np.array([1.0, -1.0, 0.0])  # pricing sign by status: _LOWER, _UPPER, _BASIC
 
 
 @dataclass
@@ -96,12 +100,13 @@ class LpStart:
     any objective over that set.
 
     ``A`` is the augmented matrix ``[Aeq | diag(signs)]``, one signed
-    artificial column per row, and ``beq`` a private copy; both are made when
+    artificial column per row, ``beq`` a private copy, and ``lower``/``upper``
+    phase 2's read-only bounds (artificials pinned at 0), all four made when
     phase 1 ran and shared by every start derived from it.  ``basis`` and
     ``status`` index ``A``'s columns, and ``x`` is the fresh solve of that
-    basis.  Nothing writes to any of the arrays; ``solve_lp`` copies
-    ``basis``, ``status`` and ``x`` before pivoting.  A start keeps no
-    phase-1 value: phase 1 makes one only from an optimum at most ``tol``.
+    basis.  Nothing writes to any of the arrays; ``solve_lp`` copies ``basis``,
+    ``status`` and ``x``.  A start keeps no phase-1 value: phase 1 makes one
+    only from an optimum at most ``tol``.
     """
 
     A: np.ndarray
@@ -110,6 +115,8 @@ class LpStart:
     basis: np.ndarray
     status: np.ndarray
     x: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def matches(self, problem: LpProblem, tol: float) -> bool:
         """Whether this start was built for ``problem``'s feasible set at ``tol``."""
@@ -155,16 +162,17 @@ def kkt_residual(problem: LpProblem, z, duals, bound_window: float = 1e-6) -> fl
     n, q = problem.Aeq.shape
     if z.shape[0] != q or duals.shape[0] != n:
         raise DimensionError("z/duals lengths do not match the problem")
-    eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
-    box = float(max(0.0, np.max(-z, initial=0.0), np.max(z - 1.0, initial=0.0)))
+    eq = float(np.abs(problem.Aeq @ z - problem.beq).max())
+    return _kkt(problem, z, duals, eq, bound_window)
+
+
+def _kkt(problem, z, duals, eq, bound_window=1e-6):
+    """``kkt_residual`` of checked arrays, given their equality residual ``eq``."""
+    box = max(0.0, -z.min(), z.max() - 1.0)
     d = problem.c - duals @ problem.Aeq
-    at_lower = z <= bound_window
-    at_upper = z >= 1.0 - bound_window
-    interior = ~(at_lower | at_upper)
-    viol = np.zeros(q)
-    viol[at_lower] = np.maximum(0.0, -d[at_lower])
-    viol[at_upper] = np.maximum(0.0, d[at_upper])
-    viol[interior] = np.abs(d[interior])
+    viol = np.abs(d)  # inside the box; at a bound a right-signed d gives <= 0
+    np.negative(d, out=viol, where=z <= bound_window)
+    np.positive(d, out=viol, where=z >= 1.0 - bound_window)
     return float(max(eq, box, viol.max(initial=0.0)))
 
 
@@ -203,7 +211,7 @@ def _flip_run(A, Binv, lower, upper, basis, status, order, x_basic, budget):
         before = x_basic - np.vstack([np.zeros_like(x_basic), moved[:-1]])
         t_basic = _ratios(before, D, blo, bup).min(axis=1, initial=np.inf)
         passes = (t_flip <= t_basic) & (t_flip > _DEGEN_TOL)
-        k = int(np.argmin(passes)) if not passes.all() else J.size
+        k = int(passes.argmin()) if not passes.all() else J.size
         status[J[:k]] = np.where(status[J[:k]] == _LOWER, _UPPER, _LOWER)
         flips += k
         if k < J.size:
@@ -244,8 +252,8 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
     """
     n, qt = A.shape
     free = upper > lower
-    sgn = np.where(status == _LOWER, 1.0, -1.0)
-    sgn[(status == _BASIC) | ~free] = 0.0
+    sgn = _SIGN[status]
+    sgn[~free] = 0.0
     bland = False
     degen_run = 0
     bland_after = 3 * qt
@@ -270,9 +278,9 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
             duals = c[basis] @ Binv
         score = sgn * (c - duals @ A)  # negative where entering improves
         if bland:
-            j = int(np.argmax(score < -dual_tol))
+            j = int((score < -dual_tol).argmax())
         else:
-            j = int(np.argmin(score))
+            j = int(score.argmin())
         optimal = score[j] >= -dual_tol
         if optimal or iters >= max_iter:
             if Binv is not None:  # carried values: refactor first
@@ -296,9 +304,8 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
             status[j] = _UPPER if from_lower else _LOWER
             sgn[j] = -sgn[j]
         else:
-            tie = ratios <= t_basic + _DEGEN_TOL
-            tied = np.flatnonzero(tie)
-            r = int(tied[np.argmin(basis[tied])])  # smallest variable index leaves
+            tied = (ratios <= t_basic + _DEGEN_TOL).nonzero()[0]
+            r = int(tied[basis[tied].argmin()])  # smallest variable index leaves
             leaving = basis[r]
             status[leaving] = _LOWER if dirw[r] > 0 else _UPPER
             sgn[leaving] = (1.0 if dirw[r] > 0 else -1.0) if free[leaving] else 0.0
@@ -321,7 +328,7 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
             # the duals, and so the entering order, are as they were
             cand = score < -dual_tol
             cand[j] = False
-            order = np.flatnonzero(cand)
+            order = cand.nonzero()[0]
             if not bland:
                 order = order[np.argsort(score[order], kind="stable")]
             flips = _flip_run(A, Binv, lower, upper, basis, status, order,
@@ -336,8 +343,10 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
 
     One pass: phase 1 only without ``start``, phase 2 only from a start (the
     one given, or phase 1's when its optimum is at most ``tol``), then one
-    verdict on the last phase's point.  ``optimal``: a phase-2 vertex with
-    equality and KKT residuals at most ``tol`` (verified, not assumed).
+    verdict on the last phase's point: the equality residual once, and the
+    KKT residual (``kkt_residual``'s, bit for bit) of a phase-2 optimum only.
+    ``optimal``: a phase-2 vertex with equality and KKT residuals at most
+    ``tol`` (verified, not assumed).
     ``infeasible``: a phase-1 optimum above ``tol``, carried in
     ``phase1_value`` with the closest point found, whose equality residual it
     bounds.  ``numerical_failure``: anything else (a singular basis or the
@@ -352,19 +361,19 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
     pivots and returns the same ``z``.  A start built for another feasible set
     or tolerance raises ``ParameterError``.
     """
-    if not np.isfinite(tol) or tol <= 0:
+    if not math.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     if start is not None and not start.matches(problem, tol):
         raise ParameterError("start was built for another Aeq, beq or tol")
     n, q = problem.Aeq.shape
     r = problem.beq
-    lower = np.zeros(q + n)
-    upper = np.ones(q + n)
     max_iter = 50 * (q + n) + 1000
     dual_tol = 0.5 * tol
     phase1, iters = 0.0, 0
     if start is None:
         A = np.hstack([problem.Aeq, np.diag(np.where(r < 0, -1.0, 1.0))])
+        lower = np.zeros(q + n)
+        upper = np.ones(q + n)
         upper[q:] = float(np.sum(np.abs(r))) + 1.0
         status = np.full(q + n, _LOWER, dtype=np.int8)
         status[q:] = _BASIC
@@ -373,21 +382,23 @@ def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None
         out, x, duals, iters = _simplex(A, r, c1, lower, upper, basis, status, dual_tol, max_iter)
         phase1 = float(c1 @ x) if out == "optimal" else float("inf")
         if phase1 <= tol:
-            start = LpStart(A, r.copy(), tol, basis.copy(), status.copy(), x)
+            upper[q:] = 0.0  # artificials pinned for phase 2
+            lower.flags.writeable = upper.flags.writeable = False
+            start = LpStart(A, r.copy(), tol, basis.copy(), status.copy(), x, lower, upper)
     if start is not None:
-        upper[q:] = 0.0  # artificials pinned for phase 2
         basis, status = start.basis.copy(), start.status.copy()
         c2 = np.concatenate([problem.c, np.zeros(n)])
-        out, x, duals, it = _simplex(start.A, r, c2, lower, upper, basis, status, dual_tol,
-                                     max_iter, start.x)
+        out, x, duals, it = _simplex(start.A, r, c2, start.lower, start.upper, basis, status,
+                                     dual_tol, max_iter, start.x)
         iters += it
 
     z = np.zeros(q) if x is None else x[:q].copy()
-    eq = float(np.max(np.abs(problem.Aeq @ z - problem.beq)))
+    eq = float(np.abs(problem.Aeq @ z - problem.beq).max())
     solved = start is not None and out == "optimal"  # a phase-2 optimum
-    kkt = kkt_residual(problem, z, duals) if solved else float("inf")
+    kkt = _kkt(problem, z, duals, eq) if solved else float("inf")
     if eq <= tol and kkt <= tol:
-        verdict, start = OPTIMAL, LpStart(start.A, start.beq, tol, basis, status, x)
+        verdict = OPTIMAL
+        start = LpStart(start.A, start.beq, tol, basis, status, x, start.lower, start.upper)
     else:  # a finite phase-1 optimum without a start is above tol
         verdict = INFEASIBLE if start is None and np.isfinite(phase1) else NUMERICAL_FAILURE
     return LpSolution(z, float(problem.c @ z), verdict, eq, kkt, iters,

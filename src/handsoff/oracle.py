@@ -115,7 +115,7 @@ def brute_force_l0(dp: DiscreteProblem, eps: float = 1e-8) -> tuple[float, list[
     most significant); (inf, []) when no grid point is feasible.  Refuses
     instances with more than 16 scalar samples.
     """
-    if not np.isfinite(eps) or eps <= 0:
+    if not math.isfinite(eps) or eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     m, N = dp.m, dp.N
     nvars = m * N
@@ -127,17 +127,20 @@ def brute_force_l0(dp: DiscreteProblem, eps: float = 1e-8) -> tuple[float, list[
     # 3.3e-16 relative seen), far below eps.
     phi_u = dp.Phi.reshape(dp.n, N, 2 * m)[:, :, :m].reshape(dp.n, nvars)
     for k in range(nvars + 1):
-        supports = np.array(list(itertools.combinations(range(nvars), k)), dtype=np.intp)
+        supports = np.fromiter(itertools.chain(*itertools.combinations(range(nvars), k)),
+                               np.intp).reshape(math.comb(nvars, k), k)
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))  # (2^k, k)
         per = max(1, _CHUNK // len(signs))  # support sets per chunk
         found = []
         for start in range(0, len(supports), per):
-            # one row per (support set, sign pattern) pair
-            idx = np.repeat(supports[start:start + per], len(signs), axis=0)
-            U = np.zeros((len(idx), nvars))
-            np.put_along_axis(U, idx, np.tile(signs, (len(idx) // len(signs), 1)), axis=1)
+            # one row per (support set, sign pattern) pair, support-major
+            sets = supports[start:start + per]
+            U = np.zeros((len(sets), len(signs), nvars))
+            U[np.arange(len(sets))[:, None, None], np.arange(len(signs))[:, None],
+              sets[:, None]] = signs
+            U = U.reshape(-1, nvars)
             resid = U @ phi_u.T + dp.zeta
-            found.append(U[np.max(np.abs(resid), axis=1) <= eps])
+            found.append(U[np.abs(resid).max(axis=1) <= eps])
         mins = np.concatenate(found)
         if len(mins):
             # lexsort's last key is the primary one: sample 0 of input 0
@@ -164,7 +167,7 @@ def exact_instance(system: LinearSystem, T: float, N: int,
         raise DimensionError(
             f"planted signal is {planted.N}x{planted.m}, expected {N}x{system.m}"
         )
-    if not np.all(np.isin(vals, (-1.0, 0.0, 1.0))):
+    if not ((vals == 0.0) | (np.abs(vals) == 1.0)).all():
         raise DomainError("planted samples must take values in {-1, 0, 1}")
     probe = ControlProblem(system, np.zeros(system.n), T)
     dp = build_discrete(probe, N)
@@ -175,4 +178,5 @@ def exact_instance(system: LinearSystem, T: float, N: int,
     rhs = dp.Phi @ split_control(planted)
     drift = np.linalg.matrix_power(dp.Ad, N)
     problem = ControlProblem(system, -np.linalg.solve(drift, rhs), T)
-    return problem, DiscreteProblem(dp.delta, N, dp.Ad, dp.Bd, dp.Phi, drift @ problem.x0)
+    dp.zeta = as_vector(drift @ problem.x0, "zeta")
+    return problem, dp

@@ -15,7 +15,8 @@ that converts the discrete objective into a support count on bang-off-bang
 signals.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -45,12 +46,12 @@ class Penalty:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
         lam = self.lam
-        if not np.isfinite(lam):
+        if not math.isfinite(lam):
             raise ParameterError(f"{self.kind}: lambda must be finite, got {lam}")
         if self.kind == "lp":
             if lam <= 0:
                 raise ParameterError(f"lp: lambda must satisfy lambda > 0, got {lam}")
-            if self.p is None or not np.isfinite(self.p) or not 0 < self.p < 1:
+            if self.p is None or not math.isfinite(self.p) or not 0 < self.p < 1:
                 raise ParameterError(f"lp: p must lie in (0, 1), got {self.p}")
         elif self.kind == "mcp":
             if lam <= 0:
@@ -76,15 +77,15 @@ class Penalty:
                 raise ParameterError(f"l1l2: lambda must lie in (0, 1], got {lam}")
 
     def _need_alpha(self, ok, desc: str):
-        if self.alpha is None or not np.isfinite(self.alpha) or not ok(self.alpha):
+        if self.alpha is None or not math.isfinite(self.alpha) or not ok(self.alpha):
             raise ParameterError(f"{self.kind}: alpha must satisfy {desc}, got {self.alpha}")
 
 
 def _check_unit_box(u: np.ndarray, lo: float, hi: float, what: str):
-    if u.size and (u.min() < lo - _PSI_DOMAIN_SLACK or u.max() > hi + _PSI_DOMAIN_SLACK):
-        raise DomainError(f"{what}: values must lie in [{lo}, {hi}]")
-    if u.size and not np.all(np.isfinite(u)):
-        raise DomainError(f"{what}: values must be finite")
+    if u.size and not (u.min() >= lo - _PSI_DOMAIN_SLACK and u.max() <= hi + _PSI_DOMAIN_SLACK):
+        if u.min() < lo - _PSI_DOMAIN_SLACK or u.max() > hi + _PSI_DOMAIN_SLACK:
+            raise DomainError(f"{what}: values must lie in [{lo}, {hi}]")
+        raise DomainError(f"{what}: values must be finite")  # NaN fails both tests
 
 
 def _psi_abs(pen: Penalty, a: np.ndarray) -> np.ndarray:
@@ -134,9 +135,9 @@ def phi_subgradient(pen: Penalty, u, eps: float = 1e-8):
     """
     arr = np.asarray(u, dtype=float)
     _check_unit_box(arr, 0.0, 1.0, "phi_subgradient")
-    if not np.isfinite(eps) or eps <= 0:
+    if not math.isfinite(eps) or eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    a = np.clip(arr, 0.0, 1.0)
+    a = arr.clip(0.0, 1.0)
     lam = pen.lam
     if pen.kind == "lp":
         out = 1.0 - lam * pen.p * np.maximum(a, eps) ** (pen.p - 1.0)
@@ -180,7 +181,7 @@ def validate_assumption(pen: Penalty, grid_size: int = 1000, margin: float = 1e-
     report with its own ``violated`` list, which no later call shares.
     """
     report = _grid_check(pen, grid_size, margin)
-    return replace(report, violated=list(report.violated))
+    return AssumptionReport(**{**vars(report), "violated": list(report.violated)})
 
 
 @lru_cache(maxsize=256)

@@ -873,6 +873,15 @@ BAD_VALUES = [
      "got [[1.0], [False], [0.0], [0.0]]"),
     ("compare", {"N": 20, "certificate": {"dblint": 0.1}},
      "unknown certificate fields ['dblint']"),
+    # one number rule: a numeric string is refused wherever a number is read
+    ("solve", {"T": "5"}, "T must be a number, got '5'"),
+    ("solve", {"N": "40"}, "N must be an integer, got '40'"),
+    ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": "1e-3"}},
+     "oracle.eps must be a number, got '1e-3'"),
+    ("validate", {"validate": {"margin": "0.1"}}, "validate.margin must be a number, got '0.1'"),
+    # a config's output_dir is checked even when --output overrides it
+    ("solve", {"output_dir": 5}, "output_dir must be a string, got 5"),
+    ("compare", {"N": 20, "output_dir": ["a"]}, "output_dir must be a string, got ['a']"),
 ]
 
 
@@ -898,6 +907,20 @@ def test_integer_fields_keep_integers_beyond_float_precision():
     big = 2**53 + 1  # not a float; float(big) rounds to 2**53
     assert _number({"N": big}, "N", None, int) == big
     assert _number({"N": 8.0}, "N", None, int) == 8
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_output_that_cannot_be_a_directory_is_a_configuration_error(tmp_path, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    out = taken if where == "file" else taken / "sub"
+    cfg = write_config(tmp_path, N=20)
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_oracle_size_error_comes_before_the_certificate(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -27,7 +28,15 @@ from handsoff.errors import (
     NumericalError,
     ParameterError,
 )
-from handsoff.lp import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, LpProblem, LpSolution, solve_lp
+from handsoff.lp import (
+    INFEASIBLE,
+    NUMERICAL_FAILURE,
+    OPTIMAL,
+    LpProblem,
+    LpSolution,
+    kkt_residual,
+    solve_lp,
+)
 from handsoff.oracle import brute_force_l0, make_exact_instance
 from handsoff.penalty import Penalty, equivalence_constant, phi_subgradient
 from handsoff.system import ControlProblem, LinearSystem, build_discrete, double_integrator
@@ -53,8 +62,11 @@ def benchmark_dp(N=40):
 # containers and conversions
 
 def test_control_signal_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="exceed"):
         ControlSignal(1.0, [[1.1]])
+    for bad in (math.nan, math.inf, -math.inf):  # non-finite, also beside an entry above 1
+        with pytest.raises(DomainError, match="non-finite"):
+            ControlSignal(1.0, [[bad], [2.0]])
     with pytest.raises(DomainError):
         ControlSignal(0.0, [[0.5]])
     with pytest.raises(DimensionError):
@@ -109,6 +121,8 @@ def test_cost_jd_rejects_out_of_box():
         cost_jd(Penalty("l1l2", 0.6), np.array([1.0 + 2e-6, 0.0]))
     with pytest.raises(DomainError):
         cost_jd(Penalty("l1l2", 0.6), np.array([0.0, -2e-6]))
+    with pytest.raises(DomainError, match="not finite"):
+        cost_jd(Penalty("l1l2", 0.6), np.array([0.5, math.nan]))
 
 
 def test_l0_measure():
@@ -374,7 +388,7 @@ def test_each_lp_starts_from_the_basis_the_last_one_ended_on(monkeypatch):
 
     def recording(problem, tol=1e-9, start=None):
         sol = original(problem, tol=tol, start=start)
-        calls.append((problem, start, sol.start))
+        calls.append((problem, start, sol))
         return sol
 
     monkeypatch.setattr(handsoff.dca, "solve_lp", recording)
@@ -385,10 +399,14 @@ def test_each_lp_starts_from_the_basis_the_last_one_ended_on(monkeypatch):
     dp = build_discrete(ControlProblem(plant, 0.3 * x0 / np.linalg.norm(x0), 5.0), 40)
     res = run_dca(dp, Penalty("scad", 0.25, alpha=3.0), DcaConfig(warm_start="l1"))
     assert len(calls) == res.lp_solves >= 3 and calls[0][1] is None
-    for (problem, _, ended_on), (_, passed, _) in zip(calls, calls[1:]):
+    for (problem, _, sol), (_, passed, _) in zip(calls, calls[1:]):
         # the previous LP's optimal basis: its own objective re-solves in 0 pivots
-        assert passed is ended_on
+        assert passed is sol.start
         assert original(problem, start=passed).iterations == 0
+    # along the warm chain, each verdict's KKT residual is the public one, bit for bit
+    for problem, _, sol in calls:
+        assert sol.kkt_residual == kkt_residual(problem, sol.z, sol.duals)
+    assert res.max_kkt_residual == max(sol.kkt_residual for _, _, sol in calls)
 
 
 def test_start_for_another_problem_is_refused():

@@ -541,6 +541,30 @@ def test_dense_lps_match_highs_across_refactorizations(seed, monkeypatch):
         assert sol.status == OPTIMAL
         assert sol.eq_residual <= 1e-9 and sol.kkt_residual <= 1e-9
         assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+        # the verdict's residuals are the public ones, bit for bit
+        assert sol.kkt_residual == kkt_residual(prob, sol.z, sol.duals)
+        assert sol.eq_residual == np.max(np.abs(prob.Aeq @ sol.z - prob.beq))
+
+
+def test_start_carries_read_only_phase_2_bounds():
+    p = dense_lp(1)
+    n, q = p.Aeq.shape
+    first = solve_lp(p).start
+    assert np.array_equal(first.lower, np.zeros(q + n))
+    assert np.array_equal(first.upper, np.concatenate([np.ones(q), np.zeros(n)]))
+    for bound in (first.lower, first.upper):
+        assert not bound.flags.writeable
+        with pytest.raises(ValueError):
+            bound[0] = 0.5
+    kept = first.lower.copy(), first.upper.copy()
+    start = first
+    for c in objectives(1, q):
+        sol = solve_lp(LpProblem(c, p.Aeq, p.beq), start=start)
+        assert sol.status == OPTIMAL
+        # every start of the feasible set shares phase 1's bounds
+        assert sol.start.lower is first.lower and sol.start.upper is first.upper
+        start = sol.start
+    assert np.array_equal(first.lower, kept[0]) and np.array_equal(first.upper, kept[1])
 
 
 def test_returned_point_is_the_fresh_solve_of_the_final_basis(monkeypatch):

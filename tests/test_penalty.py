@@ -161,6 +161,11 @@ def test_domain_checks():
         phi_subgradient(pen, -0.2)
     with pytest.raises(DomainError):
         phi_subgradient(pen, 1.2)
+    # the range is tested first; NaN fails only the finiteness test
+    with pytest.raises(DomainError, match=r"lie in \[0.0, 1.0\]"):
+        phi(pen, np.array([0.5, math.inf]))
+    with pytest.raises(DomainError, match="finite"):
+        phi_subgradient(pen, np.array([math.nan, 1.5]))
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan, math.inf])
