@@ -7,7 +7,9 @@ Commands
     oracle     compare solver output against exhaustive enumeration or, past
                the enumeration cap, the support certificate
 
-On every plant, each ``compare`` row and each certificate-mode ``oracle`` run
+Every command that solves runs one chain: one discretization, one l1 LP
+(``solve_l1``), then ``run_dca(dp, pen, cfg, l1)`` for each penalty.  On
+every plant, each ``compare`` row and each certificate-mode ``oracle`` run
 is certified against the lower bound on the support that the l1 LP's duals
 prove.
 
@@ -204,10 +206,9 @@ def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
 
 
 def _problem_from_config(doc: dict, seed: int | None) -> tuple[
-        ControlProblem, DiscreteProblem | None, int, ControlSignal | None]:
-    """The problem, its discretization (None unless placing a planted x0
-    made one), N, and the planted signal (None without one), read in the
-    order system, T and N, planted signal or x0."""
+        ControlProblem, DiscreteProblem, ControlSignal | None]:
+    """The problem, its one discretization, and the planted signal (None
+    without one), read in the order system, T and N, planted signal or x0."""
     sysdoc = _require(doc, "system")
     if not isinstance(sysdoc, dict) or "A" not in sysdoc or "B" not in sysdoc:
         raise ConfigError("config key 'system' must be a mapping with 'A' and 'B'")
@@ -223,14 +224,13 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[
         raise ConfigError(f"N must be at least 1, got {N}")
     planted = _planted_from_config(doc, system, T, N, seed)
     if planted is not None:
-        problem, dp = exact_instance(system, T, N, planted)
-        return problem, dp, N, planted
+        return *exact_instance(system, T, N, planted), planted
     x0doc = _require(doc, "x0")
     try:
         problem = ControlProblem(system, np.asarray(x0doc, dtype=float), T)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad x0/T: {exc}") from exc
-    return problem, None, N, None
+    return problem, build_discrete(problem, N), None
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +313,11 @@ def _case(args, *, single: bool, tols: bool = False) -> Case:
     reports the same one each time.  ``single``: one penalty, not a list.
     ``tols``: read the certificate tolerances (``compare``, ``oracle``)."""
     doc = load_config(args.config)
-    problem, dp, N, planted = _problem_from_config(doc, args.seed)
+    problem, dp, planted = _problem_from_config(doc, args.seed)
     penalties = _penalties_from_config(doc, args.penalty, want_list=not single)
     cfg = _dataclass_from_config(doc, "dca", DcaConfig)
     tolerances = _dataclass_from_config(doc, "certificate", CertificateTolerances) if tols else None
-    outdir = _outdir(args, doc)
-    return Case(doc, problem, planted, penalties, cfg, tolerances, outdir,
-                build_discrete(problem, N) if dp is None else dp)
+    return Case(doc, problem, planted, penalties, cfg, tolerances, _outdir(args, doc), dp)
 
 
 def _support_bound(case: Case, l1: LpSolution) -> float | None:
@@ -376,7 +374,7 @@ def _run_fields(result: DcaResult) -> dict:
 
 
 def _solve_and_write(case: Case, outputs, pen: Penalty, l1, suffix: str, seed):
-    """Run the DC iteration for ``pen`` from the l1 solution ``l1`` (or None),
+    """Run the DC iteration for ``pen`` from the command's l1 solution ``l1``,
     write trajectory<suffix>.csv and summary<suffix>.json; returns the result
     and the certificate report."""
     t0 = time.perf_counter()
@@ -405,8 +403,8 @@ def _solve_and_write(case: Case, outputs, pen: Penalty, l1, suffix: str, seed):
 
 def cmd_solve(args) -> int:
     case = _case(args, single=True)
-    pen = case.penalties
-    result, _ = _solve_and_write(case, _outputs(case, None), pen, None, "", args.seed)
+    pen, l1 = case.penalties, solve_l1(case.dp, case.cfg)
+    result, _ = _solve_and_write(case, _outputs(case, None), pen, l1, "", args.seed)
     print(f"solve: {penalty_label(pen)}  l0={result.l0:.6g}  "
           f"iterations={result.iterations}  lp_solves={result.lp_solves}  "
           f"stop={result.stop_reason}")

@@ -160,8 +160,8 @@ def make_exact_instance(system: LinearSystem, T: float, N: int, planted: Control
 
 def exact_instance(system: LinearSystem, T: float, N: int,
                    planted: ControlSignal) -> tuple[ControlProblem, DiscreteProblem]:
-    """``make_exact_instance``'s problem and, from the same build, its
-    discretization: bit for bit ``build_discrete(problem, N)``."""
+    """``make_exact_instance``'s problem and its discretization, bit for bit
+    ``build_discrete(problem, N)``, from one build whose ``AdN`` places x0."""
     vals = planted.samples
     if planted.N != N or planted.m != system.m:
         raise DimensionError(
@@ -169,14 +169,12 @@ def exact_instance(system: LinearSystem, T: float, N: int,
         )
     if not ((vals == 0.0) | (np.abs(vals) == 1.0)).all():
         raise DomainError("planted samples must take values in {-1, 0, 1}")
-    probe = ControlProblem(system, np.zeros(system.n), T)
-    dp = build_discrete(probe, N)
+    dp = build_discrete(ControlProblem(system, np.zeros(system.n), T), N)
     if abs(planted.delta - dp.delta) > 1e-12 * max(1.0, dp.delta):
         raise DimensionError(
             f"planted delta {planted.delta} does not match T/N = {dp.delta}"
         )
     rhs = dp.Phi @ split_control(planted)
-    drift = np.linalg.matrix_power(dp.Ad, N)
-    problem = ControlProblem(system, -np.linalg.solve(drift, rhs), T)
-    dp.zeta = as_vector(drift @ problem.x0, "zeta")
+    problem = ControlProblem(system, -np.linalg.solve(dp.AdN, rhs), T)
+    dp.zeta = as_vector(dp.AdN @ problem.x0, "zeta")
     return problem, dp

@@ -74,8 +74,9 @@ class DiscreteProblem:
     """Grid data: step, sample count, one-step maps, reachability map, drift.
 
     ``Bd`` covers the split input [B, -B]; ``Phi`` stacks
-    Ad^(N-1) Bd, ..., Ad Bd, Bd left to right; ``zeta = Ad^N x0`` is where the
-    state drifts with zero input, so feasibility means Phi @ z = -zeta.
+    Ad^(N-1) Bd, ..., Ad Bd, Bd left to right; ``AdN`` is Ad^N, and
+    ``zeta = AdN x0`` is where the state drifts with zero input, so
+    feasibility means Phi @ z = -zeta.
     """
 
     delta: float
@@ -84,15 +85,16 @@ class DiscreteProblem:
     Bd: np.ndarray
     Phi: np.ndarray
     zeta: np.ndarray
+    AdN: np.ndarray
 
     def __post_init__(self):
-        self.Ad = as_matrix(self.Ad, "Ad")
-        self.Bd = as_matrix(self.Bd, "Bd")
-        self.Phi = as_matrix(self.Phi, "Phi")
+        for name in ("Ad", "Bd", "Phi", "AdN"):
+            setattr(self, name, as_matrix(getattr(self, name), name))
         self.zeta = as_vector(self.zeta, "zeta")
         n = self.Ad.shape[0]
-        if self.Ad.shape != (n, n) or self.Bd.shape[0] != n or self.Bd.shape[1] % 2:
-            raise DimensionError("Ad/Bd shapes are inconsistent")
+        if (self.Ad.shape != (n, n) or self.AdN.shape != (n, n) or self.Bd.shape[0] != n
+                or self.Bd.shape[1] % 2):
+            raise DimensionError("Ad/AdN/Bd shapes are inconsistent")
         if self.N < 1:
             raise ParameterError(f"N must be at least 1, got {self.N}")
         if not np.isfinite(self.delta) or self.delta <= 0:
@@ -128,19 +130,26 @@ def _scan(Ad: np.ndarray, b: np.ndarray) -> None:
 
 def build_discrete(problem: ControlProblem, N: int) -> DiscreteProblem:
     """Discretize over N equal steps of length T/N.  ``Phi`` is the scan of
-    Bd alone (row k holds (Ad^k Bd)^T), its blocks in reverse order."""
+    Bd alone (row k holds (Ad^k Bd)^T), its blocks in reverse order.  An
+    overflowing horizon raises ``DomainError``, with no numpy warning."""
     if N < 1:
         raise ParameterError(f"N must be at least 1, got {N}")
-    sys_ = problem.system
-    delta = problem.T / N
-    Ad, Bd = zoh_discretize(sys_.A, np.hstack([sys_.B, -sys_.B]), delta)
-    n, width = Bd.shape
-    powers = np.zeros((N, width, n))
-    powers[0] = Bd.T
-    _scan(Ad, powers)
+    sys_, T = problem.system, problem.T
+    delta = T / N
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        Ad, Bd = zoh_discretize(sys_.A, np.hstack([sys_.B, -sys_.B]), delta)
+        n, width = Bd.shape
+        powers = np.zeros((N, width, n))
+        powers[0] = Bd.T
+        _scan(Ad, powers)
+        AdN = np.linalg.matrix_power(Ad, N)
+        zeta = AdN @ problem.x0
+    if not (np.isfinite(AdN).all() and np.isfinite(powers).all()):
+        a = float(np.linalg.eigvals(sys_.A).real.max())
+        raise DomainError(f"T = {T:g} overflows double precision: the plant grows like "
+                          f"e^({a:.6g} t), e^{a * T:.6g} over T")
     Phi = powers[::-1].transpose(2, 0, 1).reshape(n, N * width)
-    zeta = np.linalg.matrix_power(Ad, N) @ problem.x0
-    return DiscreteProblem(delta, N, Ad, Bd, Phi, zeta)
+    return DiscreteProblem(delta, N, Ad, Bd, Phi, zeta, AdN)
 
 
 def simulate(dp: DiscreteProblem, x0, z) -> np.ndarray:

@@ -431,21 +431,86 @@ def count_builds(monkeypatch):
     return built
 
 
-def test_compare_discretizes_once(tmp_path, monkeypatch):
-    built = count_builds(monkeypatch)
-    cfg = write_config(tmp_path, N=40, penalty=[{"kind": "l1l2", "lambda": 0.1}])
-    assert main(["compare", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
-    assert built == [40]
-
-
 def test_planted_oracle_discretizes_once(tmp_path, monkeypatch):
-    # placing the planted x0 takes the one discretization the runs use
+    # placing the planted x0 takes the one discretization the runs use, and
+    # that build's Ad^N: the drift map is formed once
     built = count_builds(monkeypatch)
+    powers = []
+    original = np.linalg.matrix_power
+
+    def counting_power(a, n):
+        powers.append(n)
+        return original(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting_power)
     cfg = write_config(tmp_path, N=8, T=4.0, x0=None,
                        oracle={"planted": [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
                        penalty=[{"kind": "l1l2", "lambda": 0.1}])
     assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
     assert built == [8]
+    assert powers == [8]
+
+
+def test_solve_hands_its_l1_solution_to_its_run(tmp_path, monkeypatch):
+    # solve takes the path compare and oracle take: one l1 LP, whose
+    # solution its run starts from
+    import handsoff.cli
+
+    solved, handed = [], []
+    solve, run = handsoff.cli.solve_l1, handsoff.cli.run_dca
+
+    def recording_solve(dp, cfg):
+        solved.append(solve(dp, cfg))
+        return solved[-1]
+
+    def recording_run(dp, pen, cfg, l1):
+        handed.append(l1)
+        return run(dp, pen, cfg, l1)
+
+    monkeypatch.setattr(handsoff.cli, "solve_l1", recording_solve)
+    monkeypatch.setattr(handsoff.cli, "run_dca", recording_run)
+    assert main(["solve", "--config", write_config(tmp_path), "--output",
+                 str(tmp_path / "out")]) == 0
+    assert len(solved) == 1 and len(handed) == 1 and handed[0] is solved[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "oracle"])
+@pytest.mark.parametrize("overrides", [
+    {"N": 8, "T": 4.0},
+    {"N": 8, "T": 4.0, "x0": None, "oracle": {"planted": [1.0, 1.0] + [0.0] * 6}},
+], ids=["x0", "planted"])
+def test_each_command_builds_once_and_solves_the_l1_lp_once(tmp_path, monkeypatch,
+                                                             command, overrides):
+    import handsoff.cli
+
+    built, solved = count_builds(monkeypatch), []
+    solve = handsoff.cli.solve_l1
+
+    def counting_solve(dp, cfg):
+        solved.append(dp.N)
+        return solve(dp, cfg)
+
+    monkeypatch.setattr(handsoff.cli, "solve_l1", counting_solve)
+    pens = [{"kind": "l1l2", "lambda": 0.1}, {"kind": "scad", "lambda": 0.25, "alpha": 3.0}]
+    cfg = write_config(tmp_path, **overrides, penalty=pens[0] if command == "solve" else pens)
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+    assert built == [8] and solved == [8]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["solve", "compare", "oracle"])
+def test_overflowing_horizon_is_one_configuration_error(tmp_path, capsys, command):
+    # x' = 5x + u over T = 256: e^1280 leaves double precision.  The build
+    # comes before the output directory, so none is made.
+    cfg = write_config(tmp_path, system={"A": [[5.0]], "B": [[1.0]]}, x0=[0.1],
+                       T=256.0, N=500)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("configuration error: T = 256 overflows double "
+                                       "precision: the plant grows like e^(5 t), "
+                                       "e^1280 over T\n")
+    assert not out.exists()
 
 
 def count_simulate_calls(monkeypatch):

@@ -50,9 +50,30 @@ def test_build_discrete_rejects_bad_n():
 def test_discrete_shape_guard():
     dp = build_discrete(benchmark_problem(), 4)
     with pytest.raises(DimensionError):
-        DiscreteProblem(dp.delta, 5, dp.Ad, dp.Bd, dp.Phi, dp.zeta)
+        DiscreteProblem(dp.delta, 5, dp.Ad, dp.Bd, dp.Phi, dp.zeta, dp.AdN)
     with pytest.raises(DomainError):
-        DiscreteProblem(-1.0, 4, dp.Ad, dp.Bd, dp.Phi, dp.zeta)
+        DiscreteProblem(-1.0, 4, dp.Ad, dp.Bd, dp.Phi, dp.zeta, dp.AdN)
+    with pytest.raises(DimensionError):
+        DiscreteProblem(dp.delta, 4, dp.Ad, dp.Bd, dp.Phi, dp.zeta, np.eye(3))
+
+
+def test_build_discrete_keeps_the_drift_map():
+    # AdN is the Ad^N that zeta was formed with, so zeta = AdN x0 bit for bit
+    prob = benchmark_problem()
+    dp = build_discrete(prob, 37)
+    assert np.array_equal(dp.AdN, np.linalg.matrix_power(dp.Ad, 37))
+    assert np.array_equal(dp.zeta, dp.AdN @ prob.x0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("T, N", [(256.0, 500), (256.0, 1), (150.0, 4000)])
+def test_build_discrete_refuses_an_overflowing_horizon(T, N):
+    # x' = 5x + u grows like e^(5T): past T ~ 142 that leaves double precision,
+    # in Ad^N and Phi alike, and in Ad itself when N = 1
+    prob = ControlProblem(LinearSystem([[5.0]], [[1.0]]), np.array([0.1]), T)
+    with pytest.raises(DomainError, match=rf"^T = {T:g} overflows double precision: "
+                       rf"the plant grows like e\^\(5 t\), e\^{5 * T:g} over T$"):
+        build_discrete(prob, N)
 
 
 # ---------------------------------------------------------------------------
