@@ -14,7 +14,8 @@ is certified against the lower bound on the support that the l1 LP's duals
 prove.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible problem,
-3 numerical failure, 4 assumption violated.  Outputs are byte-reproducible
+3 numerical failure, 4 assumption violated; ``compare`` and ``oracle`` exit
+with the code of their first failed run.  Outputs are byte-reproducible
 across runs except for the wall-time field in summaries.
 """
 
@@ -306,6 +307,7 @@ class Case(NamedTuple):
     tols: CertificateTolerances | None
     outdir: Path
     dp: DiscreteProblem
+    seed: int | None
 
 
 def _case(args, *, single: bool, tols: bool = False) -> Case:
@@ -317,7 +319,8 @@ def _case(args, *, single: bool, tols: bool = False) -> Case:
     penalties = _penalties_from_config(doc, args.penalty, want_list=not single)
     cfg = _dataclass_from_config(doc, "dca", DcaConfig)
     tolerances = _dataclass_from_config(doc, "certificate", CertificateTolerances) if tols else None
-    return Case(doc, problem, planted, penalties, cfg, tolerances, _outdir(args, doc), dp)
+    return Case(doc, problem, planted, penalties, cfg, tolerances, _outdir(args, doc), dp,
+                args.seed)
 
 
 def _support_bound(case: Case, l1: LpSolution) -> float | None:
@@ -328,19 +331,19 @@ def _support_bound(case: Case, l1: LpSolution) -> float | None:
 
 
 def _outputs(case: Case, bound: float | None):
-    """``outputs(result, text=True)`` -> (trajectory text or None, certificate
+    """``outputs(result, text)`` -> (trajectory text or None, certificate
     report or None) of a result's control.  The certificate runs on each
     call, given the support bound ``bound``, on the result's own l0 and the
-    terminal state of its trajectory.  Simulate and format run once per
-    distinct ``z_star`` (bit for bit): many penalties often stop at one
-    vertex."""
+    terminal state of its trajectory.  Simulate (for the text or the
+    certificate only) and format run once per distinct ``z_star`` (bit for
+    bit): many penalties often stop at one vertex."""
     dp, x0 = case.dp, case.problem.x0
     shared: dict[bytes, list] = {}
 
-    def outputs(result: DcaResult, text=True):
+    def outputs(result: DcaResult, text: bool):
         z = result.z_star
         entry = shared.setdefault(z.tobytes(), [None, None])
-        if entry[0] is None:
+        if entry[0] is None and (text or bound is not None):
             entry[0] = simulate(dp, x0, z)
         if text and entry[1] is None:
             entry[1] = trajectory_csv(result.u_star, entry[0])
@@ -351,63 +354,75 @@ def _outputs(case: Case, bound: float | None):
     return outputs
 
 
-def _verdict(report) -> str:
-    return "" if report is None else "pass" if report.passed else "fail"
+# The DcaResult fields that a run's record holds as they are; with the
+# penalty, its kind and the cost history they make up a summary.
+_RESULT_FIELDS = ("l0", "iterations", "lp_solves", "bob_deviation", "feas_residual",
+                  "complementarity_violation", "stop_reason", "max_kkt_residual")
 
 
-def _attempt(label: str, fn) -> tuple[dict, int]:
-    """``({"status": "ok", **fn()}, EXIT_OK)``; if ``fn`` raises a package
-    error, its row status and exit code instead, and "<label> failed: ..."
-    on stderr."""
-    try:
-        return {"status": "ok", **fn()}, EXIT_OK
-    except HandsOffError as exc:
-        outcome = _outcome(exc)
-        print(f"{label} failed: {exc}", file=sys.stderr)
-        return {"status": outcome.status}, outcome.exit_code
-
-
-def _run_fields(result: DcaResult) -> dict:
-    """The fields that a comparison row, a summary and an oracle run all report."""
-    return {"l0": result.l0, "iterations": result.iterations,
-            "lp_solves": result.lp_solves, "bob_deviation": result.bob_deviation}
-
-
-def _solve_and_write(case: Case, outputs, pen: Penalty, l1, suffix: str, seed):
-    """Run the DC iteration for ``pen`` from the command's l1 solution ``l1``,
-    write trajectory<suffix>.csv and summary<suffix>.json; returns the result
-    and the certificate report."""
+def _record(case: Case, outputs, l1: LpSolution, pen: Penalty | None, suffix: str | None) -> dict:
+    """The record of one run: the l1 baseline (``pen`` None), measured from
+    the command's l1 solution ``l1``, or the DC run for ``pen`` from ``l1``.
+    It holds everything an artifact reports about the run; a summary, a
+    comparison row and an oracle run each select keys of it.  With
+    ``suffix``, the run writes trajectory<suffix>.csv and, for a penalty,
+    summary<suffix>.json."""
     t0 = time.perf_counter()
-    result = run_dca(case.dp, pen, case.cfg, l1)
+    result = (l1_result(case.dp, case.cfg, l1) if pen is None
+              else run_dca(case.dp, pen, case.cfg, l1))
     wall = time.perf_counter() - t0
-    text, report = outputs(result)
-    write_trajectory_csv(case.outdir / f"trajectory{suffix}.csv", text)
-    write_json(case.outdir / f"summary{suffix}.json", {
-        **_run_fields(result),
-        "penalty": penalty_label(pen),
-        "kind": pen.kind,
-        "cost_history": list(result.cost_history),
-        "feas_residual": result.feas_residual,
-        "complementarity_violation": result.complementarity_violation,
-        "stop_reason": result.stop_reason,
-        "max_kkt_residual": result.max_kkt_residual,
-        "equivalence_constant": equivalence_constant(pen),
-        "N": case.dp.N,
-        "delta": case.dp.delta,
-        "warm_start": case.cfg.warm_start,
-        "seed": seed,
-        "wall_time_s": wall,
-    })
-    return result, report
+    text, report = outputs(result, suffix is not None)
+    rec = {"penalty": "l1", "kind": None, "c": ""} if pen is None else {
+        "penalty": penalty_label(pen), "kind": pen.kind, "c": equivalence_constant(pen)}
+    rec.update({name: getattr(result, name) for name in _RESULT_FIELDS},
+               status="ok", exit_code=EXIT_OK, J_d=result.cost_history[-1],
+               cost_history=list(result.cost_history),
+               certificate="" if report is None else "pass" if report.passed else "fail",
+               certificate_report=None if report is None else dataclasses.asdict(report))
+    if suffix is not None:
+        write_trajectory_csv(case.outdir / f"trajectory{suffix}.csv", text)
+        if pen is not None:
+            write_json(case.outdir / f"summary{suffix}.json", {
+                **{k: rec[k] for k in ("penalty", "kind", "cost_history", *_RESULT_FIELDS)},
+                "equivalence_constant": rec["c"], "N": case.dp.N, "delta": case.dp.delta,
+                "warm_start": case.cfg.warm_start, "seed": case.seed, "wall_time_s": wall})
+    return rec
+
+
+def _records(case: Case, outputs, l1: LpSolution, pens: list, write: bool) -> list[dict]:
+    """The record of each run of ``pens`` in order (None: the l1 baseline).
+    A run that raises a package error is recorded by its label, row status
+    and exit code only, with "<label> failed: ..." on stderr.  With
+    ``write``, each run writes its artifacts under its tag: its kind,
+    numbered from the second run of that kind on."""
+    seen: dict[str, int] = {}
+    records = []
+    for pen in pens:
+        kind = "l1" if pen is None else pen.kind
+        seen[kind] = seen.get(kind, 0) + 1
+        tag = kind if seen[kind] == 1 else f"{kind}_{seen[kind]}"
+        try:
+            records.append(_record(case, outputs, l1, pen, f"_{tag}" if write else None))
+        except HandsOffError as exc:
+            outcome = _outcome(exc)
+            label = "l1" if pen is None else penalty_label(pen)
+            print(f"{'l1 baseline' if pen is None else label} failed: {exc}", file=sys.stderr)
+            records.append({"penalty": label, "status": outcome.status,
+                            "exit_code": outcome.exit_code})
+    return records
+
+
+def _first_failure(records: list[dict]) -> int:
+    """The exit code of the first run that failed; 0 when none did."""
+    return next((r["exit_code"] for r in records if r["exit_code"]), EXIT_OK)
 
 
 def cmd_solve(args) -> int:
     case = _case(args, single=True)
-    pen, l1 = case.penalties, solve_l1(case.dp, case.cfg)
-    result, _ = _solve_and_write(case, _outputs(case, None), pen, l1, "", args.seed)
-    print(f"solve: {penalty_label(pen)}  l0={result.l0:.6g}  "
-          f"iterations={result.iterations}  lp_solves={result.lp_solves}  "
-          f"stop={result.stop_reason}")
+    rec = _record(case, _outputs(case, None), solve_l1(case.dp, case.cfg), case.penalties, "")
+    print(f"solve: {rec['penalty']}  l0={rec['l0']:.6g}  "
+          f"iterations={rec['iterations']}  lp_solves={rec['lp_solves']}  "
+          f"stop={rec['stop_reason']}")
     print(f"wrote {case.outdir / 'trajectory.csv'} and {case.outdir / 'summary.json'}")
     return EXIT_OK
 
@@ -424,42 +439,17 @@ def _comparison_table(path, rows) -> None:
 
 def cmd_compare(args) -> int:
     case = _case(args, single=False, tols=True)
-    dp = case.dp
-    l1 = solve_l1(dp, case.cfg)  # the baseline row, and where every run starts
-    outputs = _outputs(case, _support_bound(case, l1))
-
-    def row_fields(result, c, report):
-        return {**_run_fields(result), "J_d": result.cost_history[-1], "c": c,
-                "certificate": _verdict(report)}
-
-    def baseline():
-        result = l1_result(dp, case.cfg, l1)
-        text, report = outputs(result)
-        write_trajectory_csv(case.outdir / "trajectory_l1.csv", text)
-        return row_fields(result, "", report)
-
-    def row(pen, tag):
-        result, report = _solve_and_write(case, outputs, pen, l1, f"_{tag}", args.seed)
-        return row_fields(result, equivalence_constant(pen), report)
-
-    fields, first_error = _attempt("l1 baseline", baseline)
-    rows = [{"penalty": "l1", **fields}]
-    seen: dict[str, int] = {}
-    for pen in case.penalties:
-        seen[pen.kind] = seen.get(pen.kind, 0) + 1
-        tag = pen.kind if seen[pen.kind] == 1 else f"{pen.kind}_{seen[pen.kind]}"
-        fields, code = _attempt(penalty_label(pen), lambda: row(pen, tag))
-        rows.append({"penalty": penalty_label(pen), **fields})
-        first_error = first_error or code
-
-    _comparison_table(case.outdir / "comparison.csv", rows)
-    for r in rows:
+    l1 = solve_l1(case.dp, case.cfg)  # the baseline row, and where every run starts
+    records = _records(case, _outputs(case, _support_bound(case, l1)), l1,
+                       [None, *case.penalties], write=True)
+    _comparison_table(case.outdir / "comparison.csv", records)
+    for r in records:
         l0 = r.get("l0")
         l0_txt = f"{l0:.6g}" if isinstance(l0, float) else "-"
         print(f"compare: {r['penalty']:<40} status={r['status']:<12} "
               f"l0={l0_txt} certificate={r.get('certificate') or '-'}")
     print(f"wrote {case.outdir / 'comparison.csv'}")
-    return first_error
+    return _first_failure(records)
 
 
 def cmd_validate(args) -> int:
@@ -487,7 +477,9 @@ def cmd_oracle(args) -> int:
 
     l1 = solve_l1(dp, case.cfg)  # where every run starts
     bound = None
-    if dp.m * dp.N <= MAX_ENUM_VARS:
+    keys = ("penalty", "status", "l0", "iterations", "lp_solves", "bob_deviation")
+    enumeration = dp.m * dp.N <= MAX_ENUM_VARS
+    if enumeration:
         if "eps" in sub:
             eps = _number(sub, "eps", "oracle")
         elif planted is not None:
@@ -506,26 +498,18 @@ def cmd_oracle(args) -> int:
     else:
         bound = _support_bound(case, l1)
         report.update({"mode": "certificate", "lower_bound": bound})
-    outputs = _outputs(case, bound)
+        keys += ("certificate", "certificate_report")
 
-    def run(pen):
-        result = run_dca(dp, pen, case.cfg, l1)
-        entry = _run_fields(result)
-        if report["mode"] == "enumeration":
-            entry["agrees"] = oracle_min is not None and abs(result.l0 - oracle_min) <= 1e-9
-        else:
-            _, rep = outputs(result, text=False)
-            entry["certificate"] = _verdict(rep)
-            entry["certificate_report"] = dataclasses.asdict(rep)
-        return entry
-
-    report["runs"] = [{"penalty": penalty_label(pen),
-                       **_attempt(penalty_label(pen), lambda: run(pen))[0]}
-                      for pen in case.penalties]
+    records = _records(case, _outputs(case, bound), l1, case.penalties, write=False)
+    report["runs"] = [{k: rec[k] for k in keys if k in rec} for rec in records]
+    if enumeration:
+        for run in report["runs"]:
+            if run["status"] == "ok":
+                run["agrees"] = oracle_min is not None and abs(run["l0"] - oracle_min) <= 1e-9
 
     print(write_json(case.outdir / "oracle.json", report))
     print(f"wrote {case.outdir / 'oracle.json'}")
-    return EXIT_OK
+    return _first_failure(records)
 
 
 # ---------------------------------------------------------------------------

@@ -69,15 +69,28 @@ def support_lower_bound(dp: DiscreteProblem, duals, theta: float) -> float:
     since each z_j lies in [0, 1].  A control with k of its m*N samples
     above theta in magnitude has a split z with sum(z) = sum|u| <= k +
     theta*m*N, so k >= D(y) - theta*m*N, and k is an integer:
-        k >= ceil(D(y) - r),    r = theta*m*N + 1e-9*max(1, |D(y)|),
-    where the last term covers the rounding in evaluating D.  Returns
-    delta*ceil(D(y) - r).  Any ``duals`` give a valid bound; the l1 LP's
-    optimal duals give the best one, D(y) = the l1 optimum.
+        k >= ceil(D(y) - r),    r = theta*m*N + gamma_2K * E,
+    where the last term bounds the rounding in evaluating D (``_dual_value``).
+    Returns delta*ceil(D(y) - r).  Any ``duals`` give a valid bound; the l1
+    LP's optimal duals give the best one, D(y) = the l1 optimum.
     """
-    y = as_vector(duals, "duals")
+    D, rounding = _dual_value(dp, as_vector(duals, "duals"))
+    return dp.delta * math.ceil(D - (theta * dp.m * dp.N + rounding))
+
+
+def _dual_value(dp: DiscreteProblem, y: np.ndarray) -> tuple[float, float]:
+    """D(y) of ``support_lower_bound`` evaluated in floating point, and a
+    bound on its rounding error.  Each term of D passes through at most
+    K = n + 2mN + 2 roundings, so the error is at most gamma_K * E, with
+    E = |y| @ |zeta| + sum_j (1 + |y| @ |Phi_j|), gamma_k = k*u / (1 - k*u)
+    and u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 3).  The bound returned is gamma_2K times E as computed: the
+    doubling covers the rounding in E, in the bound itself and in the last
+    steps of ``support_lower_bound``."""
     D = float(-y @ dp.zeta + np.sum(np.minimum(0.0, 1.0 - y @ dp.Phi)))
-    r = theta * dp.m * dp.N + 1e-9 * max(1.0, abs(D))
-    return dp.delta * math.ceil(D - r)
+    E = float(np.abs(y) @ np.abs(dp.zeta) + np.sum(1.0 + np.abs(y) @ np.abs(dp.Phi)))
+    two_k_u = 2 * (dp.n + 2 * dp.m * dp.N + 2) * 2.0 ** -53
+    return D, two_k_u / (1.0 - two_k_u) * E  # gamma_2K * E
 
 
 def certificate(l0: float, lower_bound: float, terminal: np.ndarray, delta: float,

@@ -221,6 +221,7 @@ def _grid_check(pen: Penalty, grid_size: int, margin: float) -> AssumptionReport
     )
 
 
+@lru_cache(maxsize=256)
 def equivalence_constant(pen: Penalty) -> float:
     """Factor c = 1 - phi(1) converting the discrete objective to a support count."""
     c = 1.0 - phi(pen, 1.0)

@@ -388,17 +388,28 @@ def without_wall_time(path):
 
 
 @pytest.mark.parametrize("config", ["double_integrator_fast.json", "planted_oracle.json"])
-def test_compare_and_oracle_rows_equal_solve(tmp_path, config):
-    # Under warm_start "l1" a row's result does not depend on the rows before it.
+def test_compare_and_oracle_rows_equal_solve(tmp_path, capsys, config):
+    # Under warm_start "l1" a row's result does not depend on the rows before
+    # it, and every view of a run reports the one record of it: the summary,
+    # the comparison row, the compare stdout line and the oracle run.
     cfg = str(Path(__file__).resolve().parents[1] / "configs" / config)
     doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
     assert doc["dca"]["warm_start"] == "l1"
     cmp_out, orc_out = tmp_path / "compare", tmp_path / "oracle"
+    capsys.readouterr()
     assert main(["compare", "--config", cfg, "--seed", "3", "--output", str(cmp_out)]) == 0
+    lines = {}  # penalty label -> the line's status, l0 and certificate fields
+    for ln in capsys.readouterr().out.splitlines():
+        if ln.startswith("compare: "):
+            label, rest = ln[len("compare: "):].rsplit(" status=", 1)
+            lines[label.rstrip()] = ("status=" + rest).split()
     assert main(["oracle", "--config", cfg, "--seed", "3", "--output", str(orc_out)]) == 0
-    runs = json.loads((orc_out / "oracle.json").read_text(encoding="utf-8"))["runs"]
-    assert len(runs) == len(doc["penalty"])
-    for pen_doc, run in zip(doc["penalty"], runs):
+    report = json.loads((orc_out / "oracle.json").read_text(encoding="utf-8"))
+    table = (cmp_out / "comparison.csv").read_text(encoding="utf-8").splitlines()
+    rows = {row["penalty"]: row for row in (dict(zip(table[0].split(","), ln.split(",")))
+                                             for ln in table[1:])}
+    assert len(report["runs"]) == len(doc["penalty"]) == len(rows) - 1 == len(lines) - 1
+    for pen_doc, run in zip(doc["penalty"], report["runs"]):
         label = penalty_label(penalty_from_mapping(pen_doc))
         out = tmp_path / f"solve_{pen_doc['kind']}"
         assert main(["solve", "--config", cfg, "--seed", "3", "--penalty", label,
@@ -408,9 +419,20 @@ def test_compare_and_oracle_rows_equal_solve(tmp_path, config):
                 == (out / "trajectory.csv").read_bytes())
         solo = without_wall_time(out / "summary.json")
         assert without_wall_time(cmp_out / f"summary_{tag}.json") == solo
-        assert run["penalty"] == label and run["status"] == "ok"
-        assert {k: run[k] for k in ("l0", "iterations", "lp_solves", "bob_deviation")} == {
-            k: solo[k] for k in ("l0", "iterations", "lp_solves", "bob_deviation")}
+        shared = {k: solo[k] for k in ("l0", "iterations", "lp_solves", "bob_deviation")}
+        row = rows[label]
+        assert row["status"] == run["status"] == "ok" and run["penalty"] == label
+        assert {k: type(v)(row[k]) for k, v in shared.items()} == shared
+        assert float(row["J_d"]) == solo["cost_history"][-1]
+        assert {k: run[k] for k in shared} == shared
+        assert lines[label] == ["status=ok", f"l0={solo['l0']:.6g}",
+                                f"certificate={row['certificate']}"]
+        if report["mode"] == "certificate":
+            assert run["certificate"] == row["certificate"] == "pass"
+            assert run["certificate_report"]["l0"] == solo["l0"]
+        else:
+            assert "certificate" not in run
+            assert run["agrees"] == (abs(solo["l0"] - report["oracle_min_l0"]) <= 1e-9)
 
 
 def count_builds(monkeypatch):
@@ -707,6 +729,12 @@ def test_error_outcome(tmp_path, monkeypatch, capsys, exc_type, status, code, pr
     assert capsys.readouterr().err == "l1l2 lambda=0.1 failed: boom\n"
     rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
     assert [row[1] for row in rows] == ["ok", status]
+    # oracle runs its penalties as compare does, and exits with the first failed run's code
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", cfg, "--output", str(out)]) == code
+    assert capsys.readouterr().err == "l1l2 lambda=0.1 failed: boom\n"
+    runs = json.loads((out / "oracle.json").read_text())["runs"]
+    assert runs == [{"penalty": "l1l2 lambda=0.1", "status": status}]
 
 
 # ---------------------------------------------------------------------------

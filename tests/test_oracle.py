@@ -1,6 +1,7 @@
 import math
 import time
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +138,29 @@ def test_support_lower_bound_never_exceeds_the_enumerated_minimum(seed):
     # the l1 LP's duals give the best bound; any other y gives a valid one
     assert support_lower_bound(dp, solve_l1(dp).duals, 1e-6) <= best
     assert support_lower_bound(dp, rng.normal(size=n), 1e-6) <= best
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dual_value_rounding_bound_covers_the_exact_value(seed):
+    # D(y) in exact rational arithmetic on the same doubles; y spans six
+    # orders of magnitude, so the terms of D cancel and its rounding shows
+    rng = np.random.default_rng(seed)
+    n, m, N = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 9))
+    sys_ = LinearSystem(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
+    dp = build_discrete(ControlProblem(sys_, rng.normal(size=n), float(rng.uniform(0.5, 4.0))), N)
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    D, rounding = oracle._dual_value(dp, y)
+    Y = [Fraction(v) for v in y]
+
+    def dot(col):
+        return sum(a * Fraction(b) for a, b in zip(Y, col))
+
+    exact = -dot(dp.zeta) + sum(min(Fraction(0), 1 - dot(col)) for col in dp.Phi.T)
+    assert abs(Fraction(D) - exact) <= Fraction(rounding)
+    # the bound is of the size the rounding can reach, not a blanket margin
+    size = np.abs(y) @ np.abs(dp.zeta) + np.sum(1.0 + np.abs(y) @ np.abs(dp.Phi))
+    assert rounding <= 4 * (n + 2 * m * N + 2) * 2.0 ** -53 * size
 
 
 @pytest.mark.parametrize("field,value", [
