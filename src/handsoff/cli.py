@@ -13,10 +13,18 @@ every plant, each ``compare`` row and each certificate-mode ``oracle`` run
 is certified against the lower bound on the support that the l1 LP's duals
 prove.
 
-Exit codes: 0 success, 1 configuration error, 2 infeasible problem,
-3 numerical failure, 4 assumption violated; ``compare`` and ``oracle`` exit
-with the code of their first failed run.  Outputs are byte-reproducible
-across runs except for the wall-time field in summaries.
+Every config section (the root, ``system``, ``oracle``,
+``oracle.random_planted``, ``dca``, ``certificate``, ``validate`` and each
+penalty) passes one check, ``_section``: a mapping whose keys are all known.
+``solve``, ``compare`` and ``oracle`` read the same sections in one order
+(``_case``).
+
+Exit codes: 0 success, 1 configuration error (a malformed config or flag),
+2 infeasible problem, 3 numerical failure, 4 assumption violated; ``compare``
+and ``oracle`` exit with the code of their first failed run.  Every error
+that ends a command is one stderr line ``<kind>: <message>``, from ``main``.
+Outputs are byte-reproducible across runs except for the wall-time field in
+summaries.
 """
 
 import argparse
@@ -66,11 +74,25 @@ class ConfigError(HandsOffError, ValueError):
 # config ingestion
 
 _PENALTY_FIELDS = {"lambda": "lam", "alpha": "alpha", "p": "p"}
+# The keys of a config's root; each command reads those it needs.
+_TOP_LEVEL = ("system", "x0", "T", "N", "penalty", "dca", "oracle", "certificate", "validate",
+              "output_dir")
+
+
+def _section(obj, name: str | None, fields) -> dict:
+    """``obj``, the config section at the dotted key ``name`` (None: the
+    root), if it is a mapping whose keys all lie in ``fields``."""
+    if not isinstance(obj, dict):
+        raise ConfigError("config root must be a JSON object" if name is None
+                          else f"config key {name!r} must be a mapping")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {name or 'top-level'} fields {sorted(unknown)}")
+    return obj
 
 
 def penalty_from_mapping(doc) -> Penalty:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"penalty spec must be a mapping, got {type(doc).__name__}")
+    doc = _section(doc, "penalty", ("kind", *_PENALTY_FIELDS))
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"penalty kind must be one of {KINDS}, got {kind!r}")
@@ -79,9 +101,6 @@ def penalty_from_mapping(doc) -> Penalty:
         if key in doc:
             check_number(f"penalty field {key!r}", doc[key], "a number", lambda v: True)
             kwargs[attr] = float(doc[key])
-    unknown = set(doc) - set(_PENALTY_FIELDS) - {"kind"}
-    if unknown:
-        raise ConfigError(f"unknown penalty fields {sorted(unknown)}")
     if "lam" not in kwargs:
         raise ConfigError(f"penalty {kind!r} needs a lambda value")
     return Penalty(kind=kind, **kwargs)
@@ -114,6 +133,7 @@ def penalty_label(pen: Penalty) -> str:
 
 
 def load_config(path: str) -> dict:
+    """The config's root mapping, whose keys must be known top-level keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -121,33 +141,20 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return doc
+    return _section(doc, None, _TOP_LEVEL)
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, section: str | None = None):
     if key not in doc:
-        raise ConfigError(f"config is missing required key {key!r}")
+        name = key if section is None else f"{section}.{key}"
+        raise ConfigError(f"config is missing required key {name!r}")
     return doc[key]
-
-
-def _dataclass_from_config(doc: dict, key: str, cls):
-    """``cls`` from the optional mapping ``doc[key]``, whose keys must be
-    fields of ``cls``."""
-    sub = doc.get(key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"config key {key!r} must be a mapping")
-    unknown = set(sub) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {key} fields {sorted(unknown)}")
-    return cls(**sub)
 
 
 def _number(sub: dict, key: str, section: str | None, kind=float):
     """``kind(sub[key])`` if ``check_number`` passes it (for ``int``, a whole
     number); its error names ``section.key`` (``key`` at the top level)."""
-    raw = _require(sub, key)
+    raw = _require(sub, key, section)
     whole = kind is int
     check_number(key if section is None else f"{section}.{key}", raw,
                  "an integer" if whole else "a number",
@@ -155,28 +162,24 @@ def _number(sub: dict, key: str, section: str | None, kind=float):
     return kind(raw)
 
 
-def _penalties_from_config(doc: dict, inline: str | None, *, want_list: bool):
-    if inline is not None:
-        pens = [parse_penalty_spec(inline)]
-        return pens if want_list else pens[0]
-    pendoc = doc.get("penalty")
-    if pendoc is None:
-        if want_list:
-            return []
-        raise ConfigError("config is missing required key 'penalty'")
-    if isinstance(pendoc, list):
-        if not want_list:
-            raise ConfigError("'penalty' must be a single mapping for this command")
-        return [penalty_from_mapping(p) for p in pendoc]
-    pen = penalty_from_mapping(pendoc)
-    return [pen] if want_list else pen
+def _penalties_from_config(doc: dict, args) -> list[Penalty]:
+    """``--penalty``, else the config's ``penalty``: for ``compare`` and
+    ``oracle`` a mapping or a list of them (none when the key is absent); for
+    ``solve`` and ``validate``, which run one penalty, a mapping."""
+    if args.penalty is not None:
+        return [parse_penalty_spec(args.penalty)]
+    one = args.command in ("solve", "validate")
+    pendoc = _require(doc, "penalty") if one else doc.get("penalty", [])
+    if not isinstance(pendoc, list):
+        return [penalty_from_mapping(pendoc)]
+    if one:
+        raise ConfigError("'penalty' must be a single mapping for this command")
+    return [penalty_from_mapping(p) for p in pendoc]
 
 
-def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
+def _planted_from_config(sub: dict, system: LinearSystem, T: float, N: int,
                          seed: int | None) -> ControlSignal | None:
-    sub = doc.get("oracle", {})
-    if not isinstance(sub, dict):
-        raise ConfigError("config key 'oracle' must be a mapping")
+    """The planted signal of the ``oracle`` section ``sub``; None without one."""
     delta = T / N
     if "planted" in sub:
         try:
@@ -192,9 +195,7 @@ def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
             arr = arr.reshape(N, 1)
         return ControlSignal(delta, arr)
     if "random_planted" in sub:
-        spec = sub["random_planted"]
-        if not isinstance(spec, dict) or "support_size" not in spec:
-            raise ConfigError("'random_planted' must be a mapping with 'support_size'")
+        spec = _section(sub["random_planted"], "oracle.random_planted", ("support_size",))
         k = _number(spec, "support_size", "oracle.random_planted", int)
         if not 0 <= k <= N * system.m:
             raise ConfigError(f"support_size must lie in [0, {N * system.m}]")
@@ -207,15 +208,14 @@ def _planted_from_config(doc: dict, system: LinearSystem, T: float, N: int,
 
 
 def _problem_from_config(doc: dict, seed: int | None) -> tuple[
-        ControlProblem, DiscreteProblem, ControlSignal | None]:
-    """The problem, its one discretization, and the planted signal (None
-    without one), read in the order system, T and N, planted signal or x0."""
-    sysdoc = _require(doc, "system")
-    if not isinstance(sysdoc, dict) or "A" not in sysdoc or "B" not in sysdoc:
-        raise ConfigError("config key 'system' must be a mapping with 'A' and 'B'")
+        ControlProblem, DiscreteProblem, ControlSignal | None, float | None]:
+    """The problem, its one discretization, the planted signal (None
+    without one) and ``oracle.eps`` (None when unset), read in the order
+    system, T and N, the oracle section, x0."""
+    sysdoc = _section(_require(doc, "system"), "system", ("A", "B"))
+    A, B = (_require(sysdoc, key, "system") for key in ("A", "B"))
     try:
-        system = LinearSystem(np.asarray(sysdoc["A"], dtype=float),
-                              np.asarray(sysdoc["B"], dtype=float))
+        system = LinearSystem(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad system matrices: {exc}") from exc
     T, N = _number(doc, "T", None), _number(doc, "N", None, int)
@@ -223,15 +223,17 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[
         raise ConfigError(f"T must be positive and finite, got {T}")
     if N < 1:
         raise ConfigError(f"N must be at least 1, got {N}")
-    planted = _planted_from_config(doc, system, T, N, seed)
+    oracle = _section(doc.get("oracle", {}), "oracle", ("planted", "random_planted", "eps"))
+    eps = _number(oracle, "eps", "oracle") if "eps" in oracle else None
+    planted = _planted_from_config(oracle, system, T, N, seed)
     if planted is not None:
-        return *exact_instance(system, T, N, planted), planted
+        return *exact_instance(system, T, N, planted), planted, eps
     x0doc = _require(doc, "x0")
     try:
         problem = ControlProblem(system, np.asarray(x0doc, dtype=float), T)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad x0/T: {exc}") from exc
-    return problem, build_discrete(problem, N), None
+    return problem, build_discrete(problem, N), None, eps
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +301,28 @@ def write_trajectory_csv(path, text: str) -> None:
 class Case(NamedTuple):
     """What a command reads from its config, and the problem discretized once."""
 
-    doc: dict
     problem: ControlProblem
     planted: ControlSignal | None
-    penalties: Penalty | list[Penalty]
+    eps: float | None
+    penalties: list[Penalty]
     cfg: DcaConfig
-    tols: CertificateTolerances | None
+    tols: CertificateTolerances
     outdir: Path
     dp: DiscreteProblem
     seed: int | None
 
 
-def _case(args, *, single: bool, tols: bool = False) -> Case:
-    """Read the config in a fixed order, so a config with several faults
-    reports the same one each time.  ``single``: one penalty, not a list.
-    ``tols``: read the certificate tolerances (``compare``, ``oracle``)."""
+def _case(args) -> Case:
+    """Read the config of ``solve``, ``compare`` or ``oracle`` in one fixed
+    order, so a config with several faults reports the same one each time:
+    the top level, the problem (``_problem_from_config``), then penalty,
+    dca, certificate and output_dir."""
     doc = load_config(args.config)
-    problem, dp, planted = _problem_from_config(doc, args.seed)
-    penalties = _penalties_from_config(doc, args.penalty, want_list=not single)
-    cfg = _dataclass_from_config(doc, "dca", DcaConfig)
-    tolerances = _dataclass_from_config(doc, "certificate", CertificateTolerances) if tols else None
-    return Case(doc, problem, planted, penalties, cfg, tolerances, _outdir(args, doc), dp,
-                args.seed)
+    problem, dp, planted, eps = _problem_from_config(doc, args.seed)
+    penalties = _penalties_from_config(doc, args)
+    cfg, tols = (cls(**_section(doc.get(key, {}), key, [f.name for f in dataclasses.fields(cls)]))
+                 for key, cls in (("dca", DcaConfig), ("certificate", CertificateTolerances)))
+    return Case(problem, planted, eps, penalties, cfg, tols, _outdir(args, doc), dp, args.seed)
 
 
 def _support_bound(case: Case, l1: LpSolution) -> float | None:
@@ -418,8 +420,8 @@ def _first_failure(records: list[dict]) -> int:
 
 
 def cmd_solve(args) -> int:
-    case = _case(args, single=True)
-    rec = _record(case, _outputs(case, None), solve_l1(case.dp, case.cfg), case.penalties, "")
+    case = _case(args)
+    rec = _record(case, _outputs(case, None), solve_l1(case.dp, case.cfg), case.penalties[0], "")
     print(f"solve: {rec['penalty']}  l0={rec['l0']:.6g}  "
           f"iterations={rec['iterations']}  lp_solves={rec['lp_solves']}  "
           f"stop={rec['stop_reason']}")
@@ -438,7 +440,7 @@ def _comparison_table(path, rows) -> None:
 
 
 def cmd_compare(args) -> int:
-    case = _case(args, single=False, tols=True)
+    case = _case(args)
     l1 = solve_l1(case.dp, case.cfg)  # the baseline row, and where every run starts
     records = _records(case, _outputs(case, _support_bound(case, l1)), l1,
                        [None, *case.penalties], write=True)
@@ -453,11 +455,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.penalty is None and args.config is None:
+        raise ConfigError("validate needs --penalty or --config")
     doc = load_config(args.config) if args.config else {}
-    sub = doc.get("validate", {})
-    if not isinstance(sub, dict):
-        raise ConfigError("config key 'validate' must be a mapping")
-    pen = _penalties_from_config(doc, args.penalty, want_list=False)
+    sub = _section(doc.get("validate", {}), "validate", ("grid_size", "margin"))
+    pen = _penalties_from_config(doc, args)[0]
     kwargs = {key: _number(sub, key, "validate", kind)
               for key, kind in (("grid_size", int), ("margin", float)) if key in sub}
     report = validate_assumption(pen, **kwargs)
@@ -467,9 +469,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    case = _case(args, single=False, tols=True)
-    dp, planted = case.dp, case.planted
-    sub = case.doc.get("oracle", {})
+    case = _case(args)
+    dp, planted, eps = case.dp, case.planted, case.eps
 
     report: dict = {"N": dp.N, "delta": dp.delta, "seed": args.seed}
     if planted is not None:
@@ -480,12 +481,8 @@ def cmd_oracle(args) -> int:
     keys = ("penalty", "status", "l0", "iterations", "lp_solves", "bob_deviation")
     enumeration = dp.m * dp.N <= MAX_ENUM_VARS
     if enumeration:
-        if "eps" in sub:
-            eps = _number(sub, "eps", "oracle")
-        elif planted is not None:
-            eps = 1e-8
-        else:
-            eps = 1e-3 * max(float(np.max(np.abs(dp.zeta))), 1e-5)
+        if eps is None:
+            eps = 1e-8 if planted is not None else 1e-3 * max(float(np.max(np.abs(dp.zeta))), 1e-5)
         min_l0, minimizers = brute_force_l0(dp, eps=eps)
         oracle_min = None if np.isinf(min_l0) else min_l0
         report.update({
@@ -553,11 +550,20 @@ def _outdir(args, doc: dict) -> Path:
     return path
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (a missing ``--config``, a bad ``--seed``,
+    an unknown command) raise ConfigError, so ``main`` reports them as it
+    reports every configuration error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first ``main`` call (not at import) and shared
     by every later call in the process; ``parse_args`` keeps no state."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="handsoff",
         description="Minimum-support control of linear systems on a zero-order-hold grid.",
     )
@@ -589,11 +595,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "validate" and args.penalty is None and args.config is None:
-        print("validate needs --penalty or --config", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        args = _build_parser().parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except HandsOffError as exc:
         outcome = _outcome(exc)

@@ -7,12 +7,12 @@ valid parameter choice and is the part the DC iteration linearizes.
 
 A penalty is admissible for the support-measure equivalence when, on top of
 its parameter ranges, it satisfies four structural conditions: the penalty
-acts coordinatewise (by construction here), the gap is even, the gap is zero
-at the origin and strictly below its chord ``phi(1)|u|`` inside the unit
-interval, and ``phi(1) < 1``.  ``validate_assumption`` checks the non-trivial
-parts on a grid; ``equivalence_constant`` returns ``1 - phi(1)``, the factor
-that converts the discrete objective into a support count on bang-off-bang
-signals.
+acts coordinatewise and the gap is even (both by construction here: psi and
+phi are evaluated on ``|u|``), the gap is zero at the origin and strictly
+below its chord ``phi(1)|u|`` inside the unit interval, and ``phi(1) < 1``.
+``validate_assumption`` checks the last two on a grid;
+``equivalence_constant`` returns ``1 - phi(1)``, the factor that converts the
+discrete objective into a support count on bang-off-bang signals.
 """
 
 import math
@@ -23,7 +23,21 @@ import numpy as np
 
 from .errors import AssumptionViolationError, DomainError, ParameterError
 
-KINDS = ("lp", "mcp", "scad", "lsp", "capped_l1", "l1l2")
+_POSITIVE = (lambda v: v > 0, "satisfy {} > 0")
+# The parameters each kind takes, each with its range (a test and its text);
+# a kind's other parameters must be None.  lambda = 1 (l1l2) and alpha = 1
+# (capped_l1) are in range, so that the degenerate gap shows up as a
+# structural violation rather than a range error.
+PARAMETERS = {
+    "lp": {"lam": _POSITIVE, "p": (lambda v: 0 < v < 1, "lie in (0, 1)")},
+    "mcp": {"lam": _POSITIVE, "alpha": _POSITIVE},
+    "scad": {"lam": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+             "alpha": (lambda v: v > 1, "satisfy {} > 1")},
+    "lsp": {"lam": _POSITIVE, "alpha": _POSITIVE},
+    "capped_l1": {"lam": _POSITIVE, "alpha": (lambda v: 0 < v <= 1, "satisfy {} in (0, 1]")},
+    "l1l2": {"lam": (lambda v: 0 < v <= 1, "lie in (0, 1]")},
+}
+KINDS = tuple(PARAMETERS)
 
 _PSI_DOMAIN_SLACK = 1e-12
 
@@ -33,8 +47,8 @@ class Penalty:
     """One catalog entry: a kind tag plus its numeric parameters.
 
     ``lam`` is the weight common to all kinds; ``alpha`` is the shape/knee
-    parameter (unused by ``l1l2``); ``p`` is the exponent used only by
-    ``lp``.
+    parameter of all kinds but ``lp`` and ``l1l2``; ``p`` is the exponent of
+    ``lp`` alone (``PARAMETERS``).
     """
 
     kind: str
@@ -45,40 +59,17 @@ class Penalty:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
-        lam = self.lam
-        if not math.isfinite(lam):
-            raise ParameterError(f"{self.kind}: lambda must be finite, got {lam}")
-        if self.kind == "lp":
-            if lam <= 0:
-                raise ParameterError(f"lp: lambda must satisfy lambda > 0, got {lam}")
-            if self.p is None or not math.isfinite(self.p) or not 0 < self.p < 1:
-                raise ParameterError(f"lp: p must lie in (0, 1), got {self.p}")
-        elif self.kind == "mcp":
-            if lam <= 0:
-                raise ParameterError(f"mcp: lambda must satisfy lambda > 0, got {lam}")
-            self._need_alpha(lambda a: a > 0, "alpha > 0")
-        elif self.kind == "scad":
-            if not 0 < lam < 1:
-                raise ParameterError(f"scad: lambda must lie in (0, 1), got {lam}")
-            self._need_alpha(lambda a: a > 1, "alpha > 1")
-        elif self.kind == "lsp":
-            if lam <= 0:
-                raise ParameterError(f"lsp: lambda must satisfy lambda > 0, got {lam}")
-            self._need_alpha(lambda a: a > 0, "alpha > 0")
-        elif self.kind == "capped_l1":
-            if lam <= 0:
-                raise ParameterError(f"capped_l1: lambda must satisfy lambda > 0, got {lam}")
-            # alpha = 1 is constructible so the degenerate gap shows up as a
-            # structural violation rather than a range error.
-            self._need_alpha(lambda a: 0 < a <= 1, "alpha in (0, 1]")
-        elif self.kind == "l1l2":
-            # same reasoning for lambda = 1: phi(1) hits 1 and the report says so.
-            if not 0 < lam <= 1:
-                raise ParameterError(f"l1l2: lambda must lie in (0, 1], got {lam}")
-
-    def _need_alpha(self, ok, desc: str):
-        if self.alpha is None or not math.isfinite(self.alpha) or not ok(self.alpha):
-            raise ParameterError(f"{self.kind}: alpha must satisfy {desc}, got {self.alpha}")
+        if not math.isfinite(self.lam):
+            raise ParameterError(f"{self.kind}: lambda must be finite, got {self.lam}")
+        ranges = PARAMETERS[self.kind]
+        for name in ("lam", "alpha", "p"):
+            val, label = getattr(self, name), "lambda" if name == "lam" else name
+            if name not in ranges:
+                if val is not None:
+                    raise ParameterError(f"{self.kind}: takes no {label}, got {val}")
+            elif val is None or not math.isfinite(val) or not ranges[name][0](val):
+                text = ranges[name][1].format(label)
+                raise ParameterError(f"{self.kind}: {label} must {text}, got {val}")
 
 
 def _check_unit_box(u: np.ndarray, lo: float, hi: float, what: str):
@@ -171,11 +162,11 @@ class AssumptionReport:
 def validate_assumption(pen: Penalty, grid_size: int = 1000, margin: float = 1e-12) -> AssumptionReport:
     """Check the structural conditions on a uniform grid of (0, 1].
 
-    Coordinatewise action and a shared gap across channels (conditions A1 and
-    A4) hold by construction: a single scalar penalty is applied to every
-    input channel.  Evenness (A2) and the strict chord bounds (A3) are
-    verified numerically; the report records the worst margin and the grid
-    point attaining it.
+    Coordinatewise action, evenness and a shared gap across channels
+    (conditions A1, A2 and A4) hold by construction: a single scalar penalty
+    is applied to ``|u|`` on every input channel.  The strict chord bounds
+    (A3) are verified numerically; the report records the worst margin and
+    the grid point attaining it.
 
     Cached per process by the argument values; each call returns a fresh
     report with its own ``violated`` list, which no later call shares.
@@ -191,13 +182,7 @@ def _grid_check(pen: Penalty, grid_size: int, margin: float) -> AssumptionReport
     if not np.isfinite(margin) or margin < 0:
         raise ParameterError(f"margin must be nonnegative, got {margin}")
     grid = np.arange(1, grid_size + 1, dtype=float) / grid_size  # (0, 1]
-    violated = []
-
     phi_vals = phi(pen, grid)
-    sym_gap = float(np.max(np.abs(phi_vals - phi(pen, -grid))))
-    if sym_gap > 1e-14:
-        violated.append("A2")
-
     phi_one = float(phi_vals[-1])
     worst = 1.0 - phi_one
     witness = 1.0
@@ -208,10 +193,7 @@ def _grid_check(pen: Penalty, grid_size: int, margin: float) -> AssumptionReport
         if chord_slack[k] < worst:
             worst = float(chord_slack[k])
             witness = float(interior[k])
-    origin_ok = phi(pen, 0.0) == 0.0
-    if (not origin_ok) or worst <= margin:
-        violated.append("A3")
-
+    violated = ["A3"] if phi(pen, 0.0) != 0.0 or worst <= margin else []
     return AssumptionReport(
         passed=not violated,
         violated=violated,

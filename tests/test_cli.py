@@ -936,7 +936,7 @@ BAD_VALUES = [
     ("solve", {"dca": {"warm_start": "zero"}}, "warm_start must be 'l1', got 'zero'"),
     ("solve", {"N": True}, "N must be an integer, got True"),
     ("solve", {"T": True}, "T must be a number, got True"),
-    ("solve", {"penalty": 3}, "penalty spec must be a mapping, got int"),
+    ("solve", {"penalty": 3}, "config key 'penalty' must be a mapping"),
     ("solve", {"penalty": {"kind": "l1l2", "lambda": "x"}},
      "penalty field 'lambda' must be a number, got 'x'"),
     ("solve", {"system": None}, "config is missing required key 'system'"),
@@ -949,10 +949,10 @@ BAD_VALUES = [
                 "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
      "flat 'planted' requires m = 1 and length N"),
     ("oracle", {**PLANTED, "oracle": {"random_planted": {}}},
-     "'random_planted' must be a mapping with 'support_size'"),
+     "config is missing required key 'oracle.random_planted.support_size'"),
     ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 5}}},
      "support_size must lie in [0, 4]"),
-    ("solve", {"system": [1]}, "config key 'system' must be a mapping with 'A' and 'B'"),
+    ("solve", {"system": [1]}, "config key 'system' must be a mapping"),
     ("solve", {"system": {"A": [[0.0, 1.0]], "B": [[0.0], [1.0]]}},
      "bad system matrices: A must be square, got (1, 2)"),
     ("solve", {"x0": [1.0]}, "bad x0/T: x0 has length 1, expected 2"),
@@ -975,6 +975,28 @@ BAD_VALUES = [
     # a config's output_dir is checked even when --output overrides it
     ("solve", {"output_dir": 5}, "output_dir must be a string, got 5"),
     ("compare", {"N": 20, "output_dir": ["a"]}, "output_dir must be a string, got ['a']"),
+    # every section is a mapping whose keys are all known, at every level
+    ("compare", {"N": 20, "certficate": {"l0": 0.05}}, "unknown top-level fields ['certficate']"),
+    ("solve", {"system": {**BENCH["system"], "C": [[1.0]]}}, "unknown system fields ['C']"),
+    ("solve", {"system": {"A": [[0.0]]}}, "config is missing required key 'system.B'"),
+    ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "epss": 1e-3}},
+     "unknown oracle fields ['epss']"),
+    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 1, "seed": 3}}},
+     "unknown oracle.random_planted fields ['seed']"),
+    ("oracle", {**PLANTED, "oracle": {"random_planted": 2}},
+     "config key 'oracle.random_planted' must be a mapping"),
+    ("compare", {"N": 20, "dca": {"max_iters": 5}}, "unknown dca fields ['max_iters']"),
+    ("validate", {"validate": {"gridsize": 2000}}, "unknown validate fields ['gridsize']"),
+    ("compare", {"N": 20, "penalty": [{"kind": "l1l2", "lambda": 0.1, "beta": 1.0}]},
+     "unknown penalty fields ['beta']"),
+    ("compare", {"N": 20, "penalty": [[0.1]]}, "config key 'penalty' must be a mapping"),
+    # solve reads the certificate section and oracle reads eps in certificate mode too
+    ("solve", {"certificate": {"l0": "x"}},
+     "tolerance 'l0' must be a nonnegative number, got 'x'"),
+    ("oracle", {"N": 200, "oracle": {"eps": "x"}}, "oracle.eps must be a number, got 'x'"),
+    # each penalty kind takes only its own parameters
+    ("solve", {"penalty": {"kind": "scad", "lambda": 0.25, "alpha": 3.0, "p": 0.5}},
+     "scad: takes no p, got 0.5"),
 ]
 
 
@@ -985,6 +1007,73 @@ def test_bad_config_value_is_a_configuration_error(tmp_path, capsys, command, ov
     capsys.readouterr()
     assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+# Malformed inputs that some commands used to accept: each is refused by every
+# command that reads the section it is in.
+EVERY_READER = [
+    ({"certficate": {"l0": 0.05}}, ("solve", "compare", "oracle", "validate"),
+     "unknown top-level fields ['certficate']"),
+    ({"certificate": {"l0": "x"}}, ("solve", "compare", "oracle"),
+     "tolerance 'l0' must be a nonnegative number, got 'x'"),
+    ({"oracle": {"eps": "x"}}, ("solve", "compare", "oracle"),
+     "oracle.eps must be a number, got 'x'"),
+    ({"oracle": {"epss": 1e-3}}, ("solve", "compare", "oracle"), "unknown oracle fields ['epss']"),
+    ({"validate": {"gridsize": 2000}}, ("validate",), "unknown validate fields ['gridsize']"),
+    ({"system": {**BENCH["system"], "C": [[1.0]]}}, ("solve", "compare", "oracle"),
+     "unknown system fields ['C']"),
+    ({"x0": None, "N": 4, "oracle": {"random_planted": {"support_size": 1, "k": 2}}},
+     ("solve", "compare", "oracle"), "unknown oracle.random_planted fields ['k']"),
+    ({"penalty": {"kind": "l1l2", "lambda": 0.1, "alpha": 3.0}},
+     ("solve", "compare", "oracle", "validate"), "l1l2: takes no alpha, got 3.0"),
+]
+
+
+@pytest.mark.parametrize("overrides,commands,message", EVERY_READER,
+                         ids=[m.split(",")[0] for _, _, m in EVERY_READER])
+def test_malformed_input_is_refused_by_every_command_that_reads_it(tmp_path, capsys, overrides,
+                                                                    commands, message):
+    cfg = write_config(tmp_path, **overrides)
+    for command in commands:
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--output", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+FLAG_ERRORS = [
+    (["solve"], "the following arguments are required: --config"),
+    (["solve", "--config", "c.json", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    ([], "the following arguments are required: command"),
+    (["compare", "--config", "c.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["validate"], "validate needs --penalty or --config"),
+    (["oracle", "--config", str(Path(__file__).resolve().parents[1] / "configs"
+                                / "planted_oracle.json"), "--seed", "-1"],
+     "--seed must be a nonnegative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", FLAG_ERRORS,
+                         ids=["no-config", "seed-abc", "no-command", "unknown-flag", "validate",
+                              "negative-seed"])
+def test_flag_error_is_a_configuration_error(tmp_path, capsys, argv, message):
+    # argparse's own exit code 2 would read as an infeasible problem
+    assert main([*argv, "--output", str(tmp_path / "o")] if argv[1:] else argv) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_command_is_a_configuration_error(capsys):
+    assert main(["frobnicate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: argument command: invalid choice: ")
+    assert err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_config_root_must_be_an_object(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from handsoff.errors import AssumptionViolationError, DomainError, ParameterError
 from handsoff.penalty import (
     KINDS,
+    PARAMETERS,
     Penalty,
     equivalence_constant,
     phi,
@@ -142,6 +143,25 @@ def test_equivalence_constant_rejects_degenerate_gap():
 def test_parameter_ranges_rejected(kwargs):
     with pytest.raises(ParameterError):
         Penalty(**kwargs)
+
+
+def test_parameter_table():
+    assert {kind: tuple(ranges) for kind, ranges in PARAMETERS.items()} == {
+        "lp": ("lam", "p"), "mcp": ("lam", "alpha"), "scad": ("lam", "alpha"),
+        "lsp": ("lam", "alpha"), "capped_l1": ("lam", "alpha"), "l1l2": ("lam",)}
+    assert KINDS == tuple(PARAMETERS)
+
+
+NOT_TAKEN = [(pen, name) for pen in CATALOG for name in ("alpha", "p")
+             if name not in PARAMETERS[pen.kind]]
+
+
+@pytest.mark.parametrize("pen,name", NOT_TAKEN, ids=[f"{p.kind}-{n}" for p, n in NOT_TAKEN])
+def test_each_kind_refuses_the_parameters_it_does_not_take(pen, name):
+    # an unused parameter would otherwise show in every label of the run
+    params = {"lam": pen.lam, "alpha": pen.alpha, "p": pen.p, name: 0.5}
+    with pytest.raises(ParameterError, match=f"^{pen.kind}: takes no {name}, got 0.5$"):
+        Penalty(pen.kind, **params)
 
 
 def test_boundary_parameters_constructible_for_reporting():
