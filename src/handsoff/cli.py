@@ -14,10 +14,11 @@ is certified against the lower bound on the support that the l1 LP's duals
 prove.
 
 Every config section (the root, ``system``, ``oracle``,
-``oracle.random_planted``, ``dca``, ``certificate``, ``validate`` and each
-penalty) passes one check, ``_section``: a mapping whose keys are all known.
-``solve``, ``compare`` and ``oracle`` read the same sections in one order
-(``_case``).
+``oracle.random_planted``, ``dca``, ``certificate`` and each penalty) passes
+one check, ``_section``: a mapping whose keys are all known.  ``solve``,
+``compare`` and ``oracle`` read the same sections in one order (``_case``);
+an instance comes from exactly one of ``x0``, ``oracle.planted`` and
+``oracle.random_planted``.
 
 Exit codes: 0 success, 1 configuration error (a malformed config or flag),
 2 infeasible problem, 3 numerical failure, 4 assumption violated; ``compare``
@@ -75,8 +76,7 @@ class ConfigError(HandsOffError, ValueError):
 
 _PENALTY_FIELDS = {"lambda": "lam", "alpha": "alpha", "p": "p"}
 # The keys of a config's root; each command reads those it needs.
-_TOP_LEVEL = ("system", "x0", "T", "N", "penalty", "dca", "oracle", "certificate", "validate",
-              "output_dir")
+_TOP_LEVEL = ("system", "x0", "T", "N", "penalty", "dca", "oracle", "certificate", "output_dir")
 
 
 def _section(obj, name: str | None, fields) -> dict:
@@ -208,10 +208,11 @@ def _planted_from_config(sub: dict, system: LinearSystem, T: float, N: int,
 
 
 def _problem_from_config(doc: dict, seed: int | None) -> tuple[
-        ControlProblem, DiscreteProblem, ControlSignal | None, float | None]:
-    """The problem, its one discretization, the planted signal (None
-    without one) and ``oracle.eps`` (None when unset), read in the order
-    system, T and N, the oracle section, x0."""
+        ControlProblem, DiscreteProblem, ControlSignal | None]:
+    """The problem, its one discretization and the planted signal (None
+    without one), read in the order system, T and N, the oracle section,
+    x0.  The instance comes from exactly one of x0, oracle.planted and
+    oracle.random_planted."""
     sysdoc = _section(_require(doc, "system"), "system", ("A", "B"))
     A, B = (_require(sysdoc, key, "system") for key in ("A", "B"))
     try:
@@ -223,17 +224,21 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[
         raise ConfigError(f"T must be positive and finite, got {T}")
     if N < 1:
         raise ConfigError(f"N must be at least 1, got {N}")
-    oracle = _section(doc.get("oracle", {}), "oracle", ("planted", "random_planted", "eps"))
-    eps = _number(oracle, "eps", "oracle") if "eps" in oracle else None
+    oracle = _section(doc.get("oracle", {}), "oracle", ("planted", "random_planted"))
+    # each key of the oracle section names a source of the instance
+    sources = (["x0"] if "x0" in doc else []) + [f"oracle.{key}" for key in oracle]
+    if len(sources) > 1:
+        raise ConfigError(f"config gives {' and '.join(sources)}; an instance comes from "
+                          "exactly one of x0, oracle.planted and oracle.random_planted")
     planted = _planted_from_config(oracle, system, T, N, seed)
     if planted is not None:
-        return *exact_instance(system, T, N, planted), planted, eps
+        return *exact_instance(system, T, N, planted), planted
     x0doc = _require(doc, "x0")
     try:
         problem = ControlProblem(system, np.asarray(x0doc, dtype=float), T)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad x0/T: {exc}") from exc
-    return problem, build_discrete(problem, N), None, eps
+    return problem, build_discrete(problem, N), None
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +308,6 @@ class Case(NamedTuple):
 
     problem: ControlProblem
     planted: ControlSignal | None
-    eps: float | None
     penalties: list[Penalty]
     cfg: DcaConfig
     tols: CertificateTolerances
@@ -317,12 +321,14 @@ def _case(args) -> Case:
     order, so a config with several faults reports the same one each time:
     the top level, the problem (``_problem_from_config``), then penalty,
     dca, certificate and output_dir."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
     doc = load_config(args.config)
-    problem, dp, planted, eps = _problem_from_config(doc, args.seed)
+    problem, dp, planted = _problem_from_config(doc, args.seed)
     penalties = _penalties_from_config(doc, args)
     cfg, tols = (cls(**_section(doc.get(key, {}), key, [f.name for f in dataclasses.fields(cls)]))
                  for key, cls in (("dca", DcaConfig), ("certificate", CertificateTolerances)))
-    return Case(problem, planted, eps, penalties, cfg, tols, _outdir(args, doc), dp, args.seed)
+    return Case(problem, planted, penalties, cfg, tols, _outdir(args, doc), dp, args.seed)
 
 
 def _support_bound(case: Case, l1: LpSolution) -> float | None:
@@ -458,11 +464,8 @@ def cmd_validate(args) -> int:
     if args.penalty is None and args.config is None:
         raise ConfigError("validate needs --penalty or --config")
     doc = load_config(args.config) if args.config else {}
-    sub = _section(doc.get("validate", {}), "validate", ("grid_size", "margin"))
     pen = _penalties_from_config(doc, args)[0]
-    kwargs = {key: _number(sub, key, "validate", kind)
-              for key, kind in (("grid_size", int), ("margin", float)) if key in sub}
-    report = validate_assumption(pen, **kwargs)
+    report = validate_assumption(pen)
     out = {"penalty": penalty_label(pen), **dataclasses.asdict(report)}
     print(_json_text(out))
     return EXIT_OK if report.passed else EXIT_ASSUMPTION
@@ -470,7 +473,7 @@ def cmd_validate(args) -> int:
 
 def cmd_oracle(args) -> int:
     case = _case(args)
-    dp, planted, eps = case.dp, case.planted, case.eps
+    dp, planted = case.dp, case.planted
 
     report: dict = {"N": dp.N, "delta": dp.delta, "seed": args.seed}
     if planted is not None:
@@ -481,8 +484,7 @@ def cmd_oracle(args) -> int:
     keys = ("penalty", "status", "l0", "iterations", "lp_solves", "bob_deviation")
     enumeration = dp.m * dp.N <= MAX_ENUM_VARS
     if enumeration:
-        if eps is None:
-            eps = 1e-8 if planted is not None else 1e-3 * max(float(np.max(np.abs(dp.zeta))), 1e-5)
+        eps = 1e-8 if planted is not None else 1e-3 * max(float(np.max(np.abs(dp.zeta))), 1e-5)
         min_l0, minimizers = brute_force_l0(dp, eps=eps)
         oracle_min = None if np.isinf(min_l0) else min_l0
         report.update({
@@ -569,20 +571,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config,
-                       help="path to the JSON configuration")
-        p.add_argument("--output", default=None, help="output directory")
+    def common(p, solves=True):
+        # validate writes no file and draws no instance
+        p.add_argument("--config", required=solves, help="path to the JSON configuration")
+        if solves:
+            p.add_argument("--output", default=None, help="output directory")
         p.add_argument("--penalty", default=None,
                        help="inline penalty spec, e.g. 'l1l2 lambda=0.6' (overrides config)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized instance generators")
+        if solves:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for randomized instance generators")
 
     common(sub.add_parser("solve", help="solve one penalty and write trajectory + summary"))
     common(sub.add_parser("compare", help="run the l1 baseline and every configured penalty"))
     common(sub.add_parser("oracle", help="check solver output against ground truth"))
     common(sub.add_parser("validate", help="check a penalty's structural conditions"),
-           needs_config=False)
+           solves=False)
     return parser
 
 
@@ -597,8 +601,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except HandsOffError as exc:
         outcome = _outcome(exc)

@@ -55,6 +55,11 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
+def output_flag(command, path):
+    """``--output path`` for a command that takes it: every one but validate."""
+    return [] if command == "validate" else ["--output", str(path)]
+
+
 def read_summary(outdir, name="summary.json"):
     return json.loads((outdir / name).read_text(encoding="utf-8"))
 
@@ -116,11 +121,11 @@ def test_validate_needs_a_spec():
 
 
 def test_validate_from_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, penalty={"kind": "mcp", "lambda": 0.25, "alpha": 2.0},
-                       validate={"grid_size": 2000})
+    cfg = write_config(tmp_path, penalty={"kind": "mcp", "lambda": 0.25, "alpha": 2.0})
     assert main(["validate", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["grid_size"] == 2000
+    assert out["penalty"] == "mcp lambda=0.25 alpha=2.0"
+    assert out["grid_size"] == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -890,15 +895,20 @@ def test_double_integrator_outside_the_closed_form_is_certified(tmp_path, x0, bo
 
 
 PLANTED = {"N": 4, "T": 2.0, "x0": None, "penalty": [{"kind": "l1l2", "lambda": 0.1}]}
+ONE_SOURCE = ("an instance comes from exactly one of x0, oracle.planted and "
+              "oracle.random_planted")
+# A case whose message does not name its key because the key is no longer
+# read (oracle.eps, validate.*) carries the key's name as a fourth element,
+# for its id.
 BAD_VALUES = [
     ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": "x"}},
-     "oracle.eps must be a number, got 'x'"),
+     "unknown oracle fields ['eps']", "oracle.eps"),
     ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": [1]}},
-     "oracle.eps must be a number, got [1]"),
+     "unknown oracle fields ['eps']", "oracle.eps"),
     ("validate", {"validate": {"grid_size": "x"}},
-     "validate.grid_size must be an integer, got 'x'"),
+     "unknown top-level fields ['validate']", "validate.grid_size"),
     ("validate", {"validate": {"margin": "x"}},
-     "validate.margin must be a number, got 'x'"),
+     "unknown top-level fields ['validate']", "validate.margin"),
     ("compare", {"N": 20, "certificate": {"l0": "x"}},
      "tolerance 'l0' must be a nonnegative number, got 'x'"),
     ("compare", {"N": 20, "certificate": {"terminal": -1}},
@@ -956,7 +966,7 @@ BAD_VALUES = [
     ("solve", {"system": {"A": [[0.0, 1.0]], "B": [[0.0], [1.0]]}},
      "bad system matrices: A must be square, got (1, 2)"),
     ("solve", {"x0": [1.0]}, "bad x0/T: x0 has length 1, expected 2"),
-    ("validate", {"validate": 1}, "config key 'validate' must be a mapping"),
+    ("validate", {"penalty": 3}, "config key 'penalty' must be a mapping"),
     ("solve", {"penalty": {"kind": "l1l2", "lambda": True}},
      "penalty field 'lambda' must be a number, got True"),
     ("oracle", {**PLANTED, "oracle": {"planted": [True, 0.0, 0.0, 0.0]}},
@@ -970,8 +980,9 @@ BAD_VALUES = [
     ("solve", {"T": "5"}, "T must be a number, got '5'"),
     ("solve", {"N": "40"}, "N must be an integer, got '40'"),
     ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": "1e-3"}},
-     "oracle.eps must be a number, got '1e-3'"),
-    ("validate", {"validate": {"margin": "0.1"}}, "validate.margin must be a number, got '0.1'"),
+     "unknown oracle fields ['eps']", "oracle.eps"),
+    ("validate", {"validate": {"margin": "0.1"}}, "unknown top-level fields ['validate']",
+     "validate.margin"),
     # a config's output_dir is checked even when --output overrides it
     ("solve", {"output_dir": 5}, "output_dir must be a string, got 5"),
     ("compare", {"N": 20, "output_dir": ["a"]}, "output_dir must be a string, got ['a']"),
@@ -986,40 +997,60 @@ BAD_VALUES = [
     ("oracle", {**PLANTED, "oracle": {"random_planted": 2}},
      "config key 'oracle.random_planted' must be a mapping"),
     ("compare", {"N": 20, "dca": {"max_iters": 5}}, "unknown dca fields ['max_iters']"),
-    ("validate", {"validate": {"gridsize": 2000}}, "unknown validate fields ['gridsize']"),
+    ("validate", {"validate": {"gridsize": 2000}}, "unknown top-level fields ['validate']"),
     ("compare", {"N": 20, "penalty": [{"kind": "l1l2", "lambda": 0.1, "beta": 1.0}]},
      "unknown penalty fields ['beta']"),
     ("compare", {"N": 20, "penalty": [[0.1]]}, "config key 'penalty' must be a mapping"),
-    # solve reads the certificate section and oracle reads eps in certificate mode too
+    # solve reads the certificate section and oracle the oracle section in certificate mode too
     ("solve", {"certificate": {"l0": "x"}},
      "tolerance 'l0' must be a nonnegative number, got 'x'"),
-    ("oracle", {"N": 200, "oracle": {"eps": "x"}}, "oracle.eps must be a number, got 'x'"),
+    ("oracle", {"N": 200, "oracle": {"eps": "x"}}, "unknown oracle fields ['eps']", "oracle.eps"),
     # each penalty kind takes only its own parameters
     ("solve", {"penalty": {"kind": "scad", "lambda": 0.25, "alpha": 3.0, "p": 0.5}},
      "scad: takes no p, got 0.5"),
+    # an instance comes from exactly one of x0, oracle.planted and oracle.random_planted
+    ("oracle", {**PLANTED, "x0": [1.0, -1.0], "oracle": {"random_planted": {"support_size": 1}}},
+     f"config gives x0 and oracle.random_planted; {ONE_SOURCE}"),
+    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 1},
+                                      "planted": [1.0, 0.0, 0.0, 0.0]}},
+     f"config gives oracle.random_planted and oracle.planted; {ONE_SOURCE}"),
+    ("compare", {**PLANTED, "x0": [1.0, -1.0],
+                 "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "random_planted": {}}},
+     f"config gives x0 and oracle.planted and oracle.random_planted; {ONE_SOURCE}"),
+    ("oracle", PLANTED, "config is missing required key 'x0'"),
 ]
 
 
-@pytest.mark.parametrize("command,overrides,message", BAD_VALUES,
-                         ids=[f"{c}-{m.split()[0]}-{i}" for i, (c, _, m) in enumerate(BAD_VALUES)])
+def _bad_value_id(i, case):
+    command, _, message, *key = case
+    return f"{command}-{key[0] if key else message.split()[0]}-{i}"
+
+
+@pytest.mark.parametrize("command,overrides,message", [case[:3] for case in BAD_VALUES],
+                         ids=[_bad_value_id(i, case) for i, case in enumerate(BAD_VALUES)])
 def test_bad_config_value_is_a_configuration_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     capsys.readouterr()
-    assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    assert main([command, "--config", cfg, *output_flag(command, tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 # Malformed inputs that some commands used to accept: each is refused by every
-# command that reads the section it is in.
+# command that reads the section it is in. A case whose section is no longer
+# read (oracle.eps, validate) carries, as a fourth element, the id it had when
+# it was, so its results line up with earlier runs.
 EVERY_READER = [
     ({"certficate": {"l0": 0.05}}, ("solve", "compare", "oracle", "validate"),
      "unknown top-level fields ['certficate']"),
     ({"certificate": {"l0": "x"}}, ("solve", "compare", "oracle"),
      "tolerance 'l0' must be a nonnegative number, got 'x'"),
-    ({"oracle": {"eps": "x"}}, ("solve", "compare", "oracle"),
-     "oracle.eps must be a number, got 'x'"),
+    ({"oracle": {"eps": "x"}}, ("solve", "compare", "oracle"), "unknown oracle fields ['eps']",
+     "oracle.eps must be a number"),
     ({"oracle": {"epss": 1e-3}}, ("solve", "compare", "oracle"), "unknown oracle fields ['epss']"),
-    ({"validate": {"gridsize": 2000}}, ("validate",), "unknown validate fields ['gridsize']"),
+    ({"validate": {"gridsize": 2000}}, ("solve", "compare", "oracle", "validate"),
+     "unknown top-level fields ['validate']", "unknown validate fields ['gridsize']"),
+    ({"N": 4, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}}, ("solve", "compare", "oracle"),
+     f"config gives x0 and oracle.planted; {ONE_SOURCE}"),
     ({"system": {**BENCH["system"], "C": [[1.0]]}}, ("solve", "compare", "oracle"),
      "unknown system fields ['C']"),
     ({"x0": None, "N": 4, "oracle": {"random_planted": {"support_size": 1, "k": 2}}},
@@ -1029,14 +1060,14 @@ EVERY_READER = [
 ]
 
 
-@pytest.mark.parametrize("overrides,commands,message", EVERY_READER,
-                         ids=[m.split(",")[0] for _, _, m in EVERY_READER])
+@pytest.mark.parametrize("overrides,commands,message", [case[:3] for case in EVERY_READER],
+                         ids=[(case[3:] or [case[2].split(",")[0]])[0] for case in EVERY_READER])
 def test_malformed_input_is_refused_by_every_command_that_reads_it(tmp_path, capsys, overrides,
                                                                     commands, message):
     cfg = write_config(tmp_path, **overrides)
     for command in commands:
         capsys.readouterr()
-        assert main([command, "--config", cfg, "--output", str(tmp_path / command)]) == 1
+        assert main([command, "--config", cfg, *output_flag(command, tmp_path / command)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
@@ -1049,15 +1080,20 @@ FLAG_ERRORS = [
     (["oracle", "--config", str(Path(__file__).resolve().parents[1] / "configs"
                                 / "planted_oracle.json"), "--seed", "-1"],
      "--seed must be a nonnegative integer, got -1"),
+    # validate writes no file and draws no instance
+    (["validate", "--penalty", "l1l2 lambda=0.1", "--output", "/nonexistent/x"],
+     "unrecognized arguments: --output /nonexistent/x"),
+    (["validate", "--penalty", "scad lambda=0.25 alpha=3", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", FLAG_ERRORS,
                          ids=["no-config", "seed-abc", "no-command", "unknown-flag", "validate",
-                              "negative-seed"])
+                              "negative-seed", "validate-output", "validate-seed"])
 def test_flag_error_is_a_configuration_error(tmp_path, capsys, argv, message):
     # argparse's own exit code 2 would read as an infeasible problem
-    assert main([*argv, "--output", str(tmp_path / "o")] if argv[1:] else argv) == 1
+    assert main([*argv, *output_flag(argv[0], tmp_path / "o")] if argv[1:] else argv) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
 
@@ -1163,7 +1199,7 @@ REPEATED_COMMANDS = [
 def test_repeated_call_gives_the_same_result(tmp_path, capsys, command, overrides, flags):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "out"
-    argv = [command, "--config", cfg, "--output", str(out), *flags]
+    argv = [command, "--config", cfg, *output_flag(command, out), *flags]
     first = run_snapshot(argv, out, capsys)
     assert run_snapshot(argv, out, capsys) == first
 
