@@ -34,7 +34,7 @@ from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, LpStart, s
 from .penalty import Penalty, _psi_abs, phi_subgradient, validate_assumption
 from .system import DiscreteProblem
 
-_BOX_SLACK = 1e-6
+_BOX_SLACK = 1e-6  # how far rounding may take a sample or a split entry out of its box
 
 
 @dataclass
@@ -119,9 +119,10 @@ def recombine(z: np.ndarray, delta: float, m: int) -> ControlSignal:
     return ControlSignal(delta, vw[:, :m] - vw[:, m:])
 
 
-def cost_jd(pen: Penalty, z: np.ndarray, tol: float = 1e-6) -> float:
-    """Discrete objective: sum(z) minus the summed gaps, per sample (no delta factor)."""
-    if z.size and not (z.min() >= -tol and z.max() <= 1.0 + tol):  # also False for NaN
+def cost_jd(pen: Penalty, z: np.ndarray) -> float:
+    """Discrete objective: sum(z) minus the summed gaps, per sample (no delta
+    factor).  Refuses a split that leaves [0, 1] by more than ``_BOX_SLACK``."""
+    if z.size and not (z.min() >= -_BOX_SLACK and z.max() <= 1.0 + _BOX_SLACK):  # False for NaN
         raise DomainError("split control leaves [0, 1] beyond tol or is not finite")
     zc = z.clip(0.0, 1.0)  # the gaps are phi(zc)'s, unchecked: zc is in the box
     return float(zc.sum() - (np.abs(zc) - _psi_abs(pen, np.abs(zc))).sum())
@@ -211,15 +212,15 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
     ``cfg.cost_tol`` is rejected and the run keeps the previous iterate; that
     LP counts in ``iterations``, ``lp_solves`` and ``max_kkt_residual`` only.
 
-    Raises ``AssumptionViolationError`` for an inadmissible penalty,
-    ``InfeasibleProblemError`` (with the phase-1 certificate) when no
-    admissible control reaches the origin, and ``NumericalError`` if an LP
-    subproblem fails.
+    Raises ``AssumptionViolationError`` (with the frozen report) for an
+    inadmissible penalty, ``InfeasibleProblemError`` (with the phase-1
+    certificate) when no admissible control reaches the origin, and
+    ``NumericalError`` if an LP subproblem fails.
     """
     report = validate_assumption(pen)
     if not report.passed:
         raise AssumptionViolationError(
-            f"{pen.kind}: structural conditions violated: {report.violated}"
+            f"{pen.kind}: structural conditions violated: {list(report.violated)}"
             f" (worst margin {report.worst_margin:.3e} at u={report.witness_u})",
             report=report,
         )

@@ -71,12 +71,14 @@ _LOWER, _UPPER, _BASIC = 0, 1, 2
 _PIVOT_TOL = 1e-11
 _DEGEN_TOL = 1e-12
 _REFACTOR_EVERY = 32  # basis changes between fresh solves of the basis
+_BOUND_WINDOW = 1e-6  # the KKT test puts a coordinate this near a bound on it
 _SIGN = np.array([1.0, -1.0, 0.0])  # pricing sign by status: _LOWER, _UPPER, _BASIC
 
 
 @dataclass
 class LpProblem:
-    """min c @ z  s.t.  Aeq @ z = beq, 0 <= z <= 1."""
+    """min c @ z  s.t.  Aeq @ z = beq, 0 <= z <= 1, with at least one row
+    and one column (``as_matrix``)."""
 
     c: np.ndarray
     Aeq: np.ndarray
@@ -149,13 +151,13 @@ class LpSolution:
     start: LpStart | None = None
 
 
-def kkt_residual(problem: LpProblem, z, duals, bound_window: float = 1e-6) -> float:
+def kkt_residual(problem: LpProblem, z, duals) -> float:
     """Max violation of the optimality system at (z, duals).
 
     Components: equality residual, box violation, and the reduced-cost signs
     (nonnegative at the lower bound, nonpositive at the upper bound, zero for
-    interior coordinates).  Coordinates within ``bound_window`` of a bound are
-    classified as sitting on it.
+    interior coordinates).  Coordinates within ``_BOUND_WINDOW`` (1e-6) of a
+    bound are classified as sitting on it.
     """
     z = as_vector(z, "z")
     duals = as_vector(duals, "duals")
@@ -163,16 +165,16 @@ def kkt_residual(problem: LpProblem, z, duals, bound_window: float = 1e-6) -> fl
     if z.shape[0] != q or duals.shape[0] != n:
         raise DimensionError("z/duals lengths do not match the problem")
     eq = float(np.abs(problem.Aeq @ z - problem.beq).max())
-    return _kkt(problem, z, duals, eq, bound_window)
+    return _kkt(problem, z, duals, eq)
 
 
-def _kkt(problem, z, duals, eq, bound_window=1e-6):
+def _kkt(problem, z, duals, eq):
     """``kkt_residual`` of checked arrays, given their equality residual ``eq``."""
     box = max(0.0, -z.min(), z.max() - 1.0)
     d = problem.c - duals @ problem.Aeq
     viol = np.abs(d)  # inside the box; at a bound a right-signed d gives <= 0
-    np.negative(d, out=viol, where=z <= bound_window)
-    np.positive(d, out=viol, where=z >= 1.0 - bound_window)
+    np.negative(d, out=viol, where=z <= _BOUND_WINDOW)
+    np.positive(d, out=viol, where=z >= 1.0 - _BOUND_WINDOW)
     return float(max(eq, box, viol.max(initial=0.0)))
 
 
@@ -250,7 +252,7 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
     ``(outcome, x, duals, iterations)`` with outcome one of ``"optimal"``,
     ``"singular"``, ``"iteration_limit"``.
     """
-    n, qt = A.shape
+    qt = A.shape[1]
     free = upper > lower
     sgn = _SIGN[status]
     sgn[~free] = 0.0
@@ -295,7 +297,7 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
         w = Binv @ A[:, j]
         dirw = w if from_lower else -w  # basic values move by -t * dirw
         ratios = _ratios(x_basic, dirw, lower[basis], upper[basis])
-        t_basic = float(ratios.min()) if n else np.inf
+        t_basic = float(ratios.min())
         t_box = upper[j] - lower[j]
         flipped = t_box <= t_basic
         step = t_box if flipped else t_basic

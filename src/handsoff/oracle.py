@@ -5,15 +5,15 @@ certificate, for any plant: weak duality for the plain l1 LP turns a dual
 vector into a lower bound on the support measure of every control that
 reaches the origin (``support_lower_bound``), and ``certificate`` passes a
 control whose support is within a tolerance of that bound and whose
-terminal state is at the origin.  And an exhaustive search over the
-three-level grid {-1, 0, 1}^(mN) for instances small enough to enumerate.
-The search goes level by level in support size k = 0, 1, ..., mN and stops
-at the first level with a feasible point; it stays exhaustive, because every
-sparser signal has been tested and found infeasible by then, and it returns
-that level's minimizers in base-3 code order.  ``make_exact_instance`` runs
-the construction backwards: given a planted grid signal it produces the
-initial state that the signal steers to the origin exactly, so enumeration
-has a known feasible point.
+terminal state's norm is at most ``TERMINAL_TOL``.  And an exhaustive
+search over the three-level grid {-1, 0, 1}^(mN) for instances small
+enough to enumerate.  The search goes level by level in support size
+k = 0, 1, ..., mN and stops at the first level with a feasible point; it
+stays exhaustive, because every sparser signal has been tested and found
+infeasible by then, and it returns that level's minimizers in base-3 code
+order.  ``make_exact_instance`` runs the construction backwards: given a
+planted grid signal it produces the initial state that the signal steers
+to the origin exactly, so enumeration has a known feasible point.
 """
 
 import itertools
@@ -28,25 +28,22 @@ from .linalg import as_vector
 from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete
 
 MAX_ENUM_VARS = 16
+TERMINAL_TOL = 1e-6  # the certificate's bound on the terminal state's norm
 _CHUNK = 1 << 16  # grid points tested per matrix product
 
 
 @dataclass(frozen=True)
 class CertificateTolerances:
-    """Pass thresholds: ``l0`` on how far a control's support measure may
+    """Pass threshold ``l0`` on how far a control's support measure may
     exceed the proven lower bound (n*delta when None: an LP vertex holds at
-    most n samples strictly inside the box), ``terminal`` on the Euclidean
-    norm of the terminal state."""
+    most n samples strictly inside the box)."""
 
     l0: float | None = None
-    terminal: float = 1e-6
 
     def __post_init__(self):
-        # `v >= 0` is False for NaN; inf switches a check off
+        # `v >= 0` is False for NaN; inf switches the check off
         if self.l0 is not None:
             check_number("tolerance 'l0'", self.l0, "a nonnegative number", lambda v: v >= 0)
-        check_number("tolerance 'terminal'", self.terminal, "a nonnegative number",
-                     lambda v: v >= 0)
 
 
 @dataclass
@@ -98,14 +95,14 @@ def certificate(l0: float, lower_bound: float, terminal: np.ndarray, delta: floa
     """Certify a control by its support measure ``l0`` and its terminal
     state ``terminal`` (shape (n,)): it passes when l0 is within ``tols.l0``
     of ``lower_bound`` (``support_lower_bound``) and the terminal state's
-    norm is at most ``tols.terminal``; a non-finite terminal state fails.
+    norm is at most ``TERMINAL_TOL``; a non-finite terminal state fails.
     ``delta`` is the grid step, which sets the default ``tols.l0`` =
     n*delta.  Works on any plant; it neither measures nor simulates the
     control."""
     tols = tols or CertificateTolerances()
     terminal_norm = float(np.linalg.norm(terminal))
     l0_tol = len(terminal) * delta if tols.l0 is None else tols.l0
-    passed = terminal_norm <= tols.terminal and l0 - lower_bound <= l0_tol
+    passed = terminal_norm <= TERMINAL_TOL and l0 - lower_bound <= l0_tol
     return CertificateReport(l0, lower_bound, terminal_norm, passed)
 
 

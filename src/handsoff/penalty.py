@@ -11,13 +11,14 @@ acts coordinatewise and the gap is even (both by construction here: psi and
 phi are evaluated on ``|u|``), the gap is zero at the origin (by
 construction too: every kind has ``psi(0) = 0``) and strictly below its
 chord ``phi(1)|u|`` inside the unit interval, and ``phi(1) < 1``.
-``validate_assumption`` checks the last two on a grid;
-``equivalence_constant`` returns ``1 - phi(1)``, the factor that converts the
-discrete objective into a support count on bang-off-bang signals.
+``validate_assumption`` checks the last two on a grid, once per penalty,
+and hands every caller the same frozen report; ``equivalence_constant``
+returns ``1 - phi(1)``, the factor that converts the discrete objective
+into a support count on bang-off-bang signals.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -150,18 +151,19 @@ def phi_subgradient(pen: Penalty, u, eps: float = 1e-8):
     return float(out) if arr.ndim == 0 else out
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of the grid check of the structural conditions."""
 
     passed: bool
-    violated: list[str] = field(default_factory=list)
+    violated: tuple[str, ...] = ()
     worst_margin: float = float("inf")
     witness_u: float = float("nan")
     grid_size: int = 0
     note: str = "grid-verified"
 
 
+@lru_cache(maxsize=256)
 def validate_assumption(pen: Penalty) -> AssumptionReport:
     """Check the structural conditions on the grid k/GRID_SIZE, k = 1..GRID_SIZE.
 
@@ -172,22 +174,16 @@ def validate_assumption(pen: Penalty) -> AssumptionReport:
     hold by more than ``MARGIN``; the report records the worst margin and
     the grid point attaining it.
 
-    Cached per process by the penalty; each call returns a fresh report
-    with its own ``violated`` list, which no later call shares.
+    Cached per process by the penalty (256 kept): repeated calls share one
+    report, which is frozen, so no caller can change what the next one gets.
     """
-    report = _grid_check(pen)
-    return AssumptionReport(**{**vars(report), "violated": list(report.violated)})
-
-
-@lru_cache(maxsize=256)
-def _grid_check(pen: Penalty) -> AssumptionReport:
     grid = np.arange(1, GRID_SIZE + 1, dtype=float) / GRID_SIZE  # (0, 1]
     phi_vals = phi(pen, grid)
     # The margins 1 - phi(1) and phi(1)*u - phi(u) at the interior points,
     # with u = 1 first, so that a tie reports u = 1.
     slack = np.concatenate(([1.0 - phi_vals[-1]], phi_vals[-1] * grid[:-1] - phi_vals[:-1]))
     k = int(np.argmin(slack))
-    violated = ["A3"] if slack[k] <= MARGIN else []
+    violated = ("A3",) if slack[k] <= MARGIN else ()
     return AssumptionReport(
         passed=not violated,
         violated=violated,

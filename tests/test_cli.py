@@ -182,6 +182,16 @@ def test_solve_assumption_exit(tmp_path):
                  "--penalty", "l1l2 lambda=1.0"]) == 4
 
 
+def test_inline_penalty_value_that_is_not_a_number(tmp_path, capsys):
+    # the spec parser passes a non-numeric value on, and the mapping check names it
+    cfg = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "o"),
+                 "--penalty", "l1l2 lambda=x"]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: penalty field 'lambda' must be a number, got 'x'\n")
+
+
 def test_solve_config_errors(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == 1
 
@@ -897,9 +907,9 @@ def test_double_integrator_outside_the_closed_form_is_certified(tmp_path, x0, bo
 PLANTED = {"N": 4, "T": 2.0, "x0": None, "penalty": [{"kind": "l1l2", "lambda": 0.1}]}
 ONE_SOURCE = ("an instance comes from exactly one of x0, oracle.planted and "
               "oracle.random_planted")
-# A case whose message does not name its key because the key is no longer
-# read (oracle.eps, validate.*) carries the key's name as a fourth element,
-# for its id.
+# A case whose key is no longer read (oracle.eps, validate.*,
+# certificate.terminal) carries the first word of its old message as a
+# fourth element, so that its id stays.
 BAD_VALUES = [
     ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": "x"}},
      "unknown oracle fields ['eps']", "oracle.eps"),
@@ -912,11 +922,11 @@ BAD_VALUES = [
     ("compare", {"N": 20, "certificate": {"l0": "x"}},
      "tolerance 'l0' must be a nonnegative number, got 'x'"),
     ("compare", {"N": 20, "certificate": {"terminal": -1}},
-     "tolerance 'terminal' must be a nonnegative number, got -1"),
+     "unknown certificate fields ['terminal']", "tolerance"),
     ("oracle", {"N": 200, "certificate": {"l0": True}},
      "tolerance 'l0' must be a nonnegative number, got True"),
     ("oracle", {"N": 200, "certificate": {"terminal": "x"}},
-     "tolerance 'terminal' must be a nonnegative number, got 'x'"),
+     "unknown certificate fields ['terminal']", "tolerance"),
     ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": "x"}}},
      "oracle.random_planted.support_size must be an integer, got 'x'"),
     ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 1.5}}},
@@ -1044,6 +1054,8 @@ EVERY_READER = [
      "unknown top-level fields ['certficate']"),
     ({"certificate": {"l0": "x"}}, ("solve", "compare", "oracle"),
      "tolerance 'l0' must be a nonnegative number, got 'x'"),
+    ({"certificate": {"l0": 0.05, "terminal": 1e-6}}, ("solve", "compare", "oracle"),
+     "unknown certificate fields ['terminal']"),
     ({"oracle": {"eps": "x"}}, ("solve", "compare", "oracle"), "unknown oracle fields ['eps']",
      "oracle.eps must be a number"),
     ({"oracle": {"epss": 1e-3}}, ("solve", "compare", "oracle"), "unknown oracle fields ['epss']"),

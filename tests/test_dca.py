@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -301,11 +301,13 @@ def test_inadmissible_penalty_raises_with_report():
     with pytest.raises(AssumptionViolationError) as exc:
         run_dca(benchmark_dp(10), Penalty("l1l2", 1.0))
     assert exc.value.report is not None
-    assert exc.value.report.violated == ["A3"]
-    exc.value.report.violated.clear()  # the raised report is the caller's own copy
+    assert exc.value.report.violated == ("A3",)
+    assert "structural conditions violated: ['A3']" in str(exc.value)
+    with pytest.raises(FrozenInstanceError):  # no caller can change it
+        exc.value.report.violated = ()
     with pytest.raises(AssumptionViolationError) as again:
         run_dca(benchmark_dp(10), Penalty("l1l2", 1.0))
-    assert again.value.report.violated == ["A3"]
+    assert again.value.report is exc.value.report
 
 
 def test_iteration_cap():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handsoff import oracle
-from handsoff.dca import ControlSignal, l0_measure, solve_l1, split_control
+from handsoff.dca import ControlSignal, l0_measure, run_dca, solve_l1, split_control
 from handsoff.errors import DimensionError, DomainError, ParameterError, SizeError
 from handsoff.oracle import (
     CertificateTolerances,
@@ -18,6 +18,7 @@ from handsoff.oracle import (
     make_exact_instance,
     support_lower_bound,
 )
+from handsoff.penalty import Penalty
 from handsoff.system import (
     ControlProblem,
     LinearSystem,
@@ -89,10 +90,14 @@ def test_certificate_rejects_scaled_indicator():
 
 
 def test_certificate_rejects_wrong_support_size():
-    report = certify(indicator_signal(1000, lo=0.5, hi=2.5),
-                     tols=CertificateTolerances(l0=0.1, terminal=np.inf))
-    assert not report.passed
-    assert report.l0 - report.lower_bound > 0.1
+    # a support of 2 against a bound of 1 fails on the l0 margin alone: the
+    # same measures pass from the origin once the margin allows them
+    measured = certify(indicator_signal(1000, lo=0.5, hi=2.5))
+    assert measured.l0 - measured.lower_bound > 0.1
+    for l0_tol, passed in ((0.1, False), (1.0, True)):
+        report = certificate(measured.l0, measured.lower_bound, np.zeros(2), T / 1000,
+                             CertificateTolerances(l0=l0_tol))
+        assert report.passed is passed
 
 
 def test_certificate_default_l0_tolerance_is_n_delta():
@@ -140,6 +145,31 @@ def test_support_lower_bound_never_exceeds_the_enumerated_minimum(seed):
     assert support_lower_bound(dp, rng.normal(size=n), 1e-6) <= best
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+def test_time_rescaling_scales_only_the_step(seed, k):
+    # (A, B, T) -> (A/2^k, B/2^k, 2^k*T) leaves every product A*delta and
+    # B*delta bit for bit, so the grid problem and every solve on it are the
+    # same; the step, and so every support measure, scales by exactly 2^k
+    rng = np.random.default_rng(seed)
+    n, m, N = int(rng.integers(1, 4)), int(rng.integers(1, 3)), 40
+    A, B = rng.normal(scale=0.5, size=(n, n)), rng.normal(size=(n, m))
+    flat = np.zeros(m * N)
+    flat[rng.choice(m * N, size=n, replace=False)] = rng.choice([-1.0, 1.0], size=n)
+    x0 = make_exact_instance(LinearSystem(A, B), 4.0, N, ControlSignal(0.1, flat.reshape(N, m))).x0
+    pen = Penalty("scad", 0.25, alpha=3.0)
+    runs = []
+    for scale in (1.0, 2.0 ** k):
+        dp = build_discrete(ControlProblem(LinearSystem(A / scale, B / scale), x0, 4.0 * scale), N)
+        l1 = solve_l1(dp)
+        runs.append((dp, l1, run_dca(dp, pen, l1=l1), support_lower_bound(dp, l1.duals, 1e-6)))
+    (dp, l1, dc, bound), (dp_k, l1_k, dc_k, bound_k) = runs
+    pairs = [(dp.Phi, dp_k.Phi), (dp.zeta, dp_k.zeta), (l1.z, l1_k.z), (dc.z_star, dc_k.z_star)]
+    assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+    assert dp_k.delta == 2.0 ** k * dp.delta
+    assert dc_k.l0 == 2.0 ** k * dc.l0 and bound_k == 2.0 ** k * bound
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_dual_value_rounding_bound_covers_the_exact_value(seed):
@@ -165,7 +195,6 @@ def test_dual_value_rounding_bound_covers_the_exact_value(seed):
 
 @pytest.mark.parametrize("field,value", [
     ("l0", "x"), ("l0", -0.1), ("l0", float("nan")), ("l0", True),
-    ("terminal", None), ("terminal", -1.0), ("terminal", [1]),
 ])
 def test_certificate_tolerances_validation(field, value):
     with pytest.raises(ParameterError, match=field):
@@ -173,8 +202,9 @@ def test_certificate_tolerances_validation(field, value):
 
 
 def test_certificate_tolerances_accept_inf_and_numpy_scalars():
-    CertificateTolerances(l0=np.float64(0.0), terminal=np.inf)
-    assert [f.name for f in fields(CertificateTolerances)] == ["l0", "terminal"]
+    CertificateTolerances(l0=np.float64(0.0))
+    CertificateTolerances(l0=np.inf)
+    assert [f.name for f in fields(CertificateTolerances)] == ["l0"]
 
 
 def test_certificate_input_validation():

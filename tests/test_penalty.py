@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_subgradient_rejects_a_bad_eps(eps):
 def test_catalog_passes_assumption(pen):
     report = validate_assumption(pen)
     assert report.passed
-    assert report.violated == []
+    assert report.violated == ()
     assert report.worst_margin > 1e-12
     assert report.note == "grid-verified"
 
@@ -213,7 +214,7 @@ def test_catalog_passes_assumption(pen):
 def test_degenerate_l1l2_fails_a3():
     report = validate_assumption(Penalty("l1l2", 1.0))
     assert not report.passed
-    assert report.violated == ["A3"]
+    assert report.violated == ("A3",)
     # phi(1) == 1 exactly is the failing clause
     assert report.worst_margin <= 1e-12
 
@@ -227,7 +228,7 @@ def test_degenerate_capped_fails_a3():
 def test_a_chord_bound_within_the_margin_fails_a3():
     # phi = lam*u^2: the chord slack lam*u*(1 - u) is least at u = 0.001, about 1e-13
     report = validate_assumption(Penalty("l1l2", 1e-10))
-    assert report.violated == ["A3"]
+    assert report.violated == ("A3",)
     assert 0.0 < report.worst_margin <= 1e-12 and report.witness_u == 0.001
 
 
@@ -268,18 +269,24 @@ def test_report_values_are_pinned(pen, expected):
 
 @pytest.mark.parametrize("pen", CATALOG + CRAFTED, ids=_pen_id)
 def test_repeated_validation_returns_equal_fresh_reports(pen):
-    first, second = validate_assumption(pen), validate_assumption(pen)
-    assert first == second
-    assert first is not second and first.violated is not second.violated
+    # repeated calls share one report; a check run afresh gives an equal one
+    first = validate_assumption(pen)
+    assert validate_assumption(pen) is first
+    validate_assumption.cache_clear()
+    fresh = validate_assumption(pen)
+    assert fresh == first and fresh is not first
 
 
 @pytest.mark.parametrize("pen", CATALOG + CRAFTED, ids=_pen_id)
 def test_changing_a_report_leaves_the_next_one_alone(pen):
     report = validate_assumption(pen)
-    expected = (report.passed, list(report.violated), report.worst_margin)
-    report.violated.append("A9")
-    report.passed, report.worst_margin = not report.passed, -1.0
+    expected = (report.passed, report.violated, report.worst_margin)
+    for name, value in (("passed", not report.passed), ("violated", ("A9",)),
+                        ("worst_margin", -1.0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, name, value)
     again = validate_assumption(pen)
+    assert again is report
     assert (again.passed, again.violated, again.worst_margin) == expected
 
 
