@@ -9,14 +9,16 @@ The equality-row count equals the state dimension of the control problems
 this package builds (one to about ten), so the basis is kept as a dense
 inverse.  Each basis change updates it by one rank-1 eta step, the
 product-form update of Dantzig and Orchard-Hays, and the basic values are
-carried by the step.  Every ``_REFACTOR_EVERY`` (32) basis changes, after
-every run of box flips, and before a pass returns, the basis is refactored:
-the basic values and the duals are solved from scratch.  What ``solve_lp``
-returns, and checks against its tolerance, is therefore always the fresh
-solve of the final basis (possibly made by the call that produced the
-start), never a carried value.  Because every variable is boxed the problem
-is never unbounded, and every optimum returned is a vertex: at most one
-basic variable per row sits strictly between its bounds.
+carried by the step, as plain floats beside their bounds: over so few rows
+the ratio test costs less in Python than numpy's per-call overhead does.
+Every ``_REFACTOR_EVERY`` (32) basis changes, after every run of box flips,
+and before a pass returns, the basis is refactored: the basic values and the
+duals are solved from scratch.  What ``solve_lp`` returns, and checks against
+its tolerance, is therefore always the fresh solve of the final basis
+(possibly made by the call that produced the start), never a carried value.
+Because every variable is boxed the problem is never unbounded, and every
+optimum returned is a vertex: at most one basic variable per row sits
+strictly between its bounds.
 
 Phase 1 starts from signed artificial columns and minimizes their sum; an
 optimum above the tolerance is returned as the infeasibility certificate.
@@ -29,12 +31,13 @@ its other bound before any basic variable reaches one of its own.  A flip
 leaves the basis, and so the duals and the entering order, unchanged, so one
 pricing pass serves a whole run of flips.  After a flip the pass goes on down
 the same order (by reduced cost with first-index ties, or by index under
-Bland's rule), solving for the next candidates in blocks of 8, 16, 32, ...
-and flipping each one that passes the same ratio test, until the first one
-that would change the basis; the next pass re-prices and pivots on that one.
-Apart from exact ratio ties, which the carried basic values may round
-otherwise than a fresh solve, the pivot sequence is the one that pricing
-before every flip would make.  Every flip counts as an iteration.
+Bland's rule), putting each next column through the entering column's ratio
+test, against the basic values the flips before it leave behind, and
+flipping it, until the first one that would change the basis; the next pass
+re-prices and pivots on that one.  Apart from exact ratio ties, which the
+carried basic values may round otherwise than a fresh solve, the pivot
+sequence is the one that pricing before every flip would make.  Every flip
+counts as an iteration.
 
 Each call is one pass, phase 1 only without a start and phase 2 only from
 one, and one verdict on the last phase's point.  Phase 1 runs once per
@@ -181,46 +184,18 @@ def _kkt(problem, z, duals, eq):
 def _ratios(x_basic, dirw, blo, bup):
     """Steps at which each basic variable reaches a bound when the entering
     variable moves the basic values by ``-t * dirw`` from ``x_basic``; inf
-    where ``dirw`` does not reach one.  Rows of 2-D arguments are entering
-    columns, each with its own starting values."""
-    ratios = np.full(np.shape(dirw), np.inf)
-    np.divide(x_basic - blo, dirw, out=ratios, where=dirw > _PIVOT_TOL)
-    np.divide(bup - x_basic, -dirw, out=ratios, where=dirw < -_PIVOT_TOL)
-    return np.maximum(ratios, 0.0)
-
-
-def _flip_run(A, Binv, lower, upper, basis, status, order, x_basic, budget):
-    """Flip the leading columns of ``order`` that the ratio test sends to
-    their other bound, at most ``budget`` of them; return how many flipped.
-
-    Flips leave the basis, and so the duals and the entering order, as they
-    were, so the run needs no pricing.  Columns are solved for in blocks of
-    8, 16, 32, ... through the basis inverse ``Binv``; within a block each
-    flip is tested against the basic values the flips before it leave
-    behind.  The run stops before the first column that would change the
-    basis or make a degenerate step.  Blocks start small because on plants
-    with many rows most runs are a flip or two, and solving for columns past
-    the run's end is wasted.
-    """
-    blo, bup = lower[basis], upper[basis]
-    flips, size = 0, 8
-    while flips < min(order.size, budget):
-        J = order[flips:flips + min(size, budget - flips)]
-        D = (Binv @ A[:, J]).T  # row i: column J[i]'s direction
-        D[status[J] == _UPPER] *= -1.0
-        t_flip = upper[J] - lower[J]
-        moved = np.cumsum(D * t_flip[:, None], axis=0)
-        before = x_basic - np.vstack([np.zeros_like(x_basic), moved[:-1]])
-        t_basic = _ratios(before, D, blo, bup).min(axis=1, initial=np.inf)
-        passes = (t_flip <= t_basic) & (t_flip > _DEGEN_TOL)
-        k = int(passes.argmin()) if not passes.all() else J.size
-        status[J[:k]] = np.where(status[J[:k]] == _LOWER, _UPPER, _LOWER)
-        flips += k
-        if k < J.size:
-            break
-        x_basic = x_basic - moved[-1]
-        size *= 2
-    return flips
+    where ``dirw`` does not reach one.  Lists of floats in and out; the
+    entering column and every column of a flip run go through it."""
+    steps = []
+    for x, d, lo, up in zip(x_basic, dirw, blo, bup):
+        if d > _PIVOT_TOL:
+            t = (x - lo) / d
+        elif d < -_PIVOT_TOL:
+            t = (up - x) / -d
+        else:
+            t = math.inf
+        steps.append(t if t > 0.0 else 0.0)
+    return steps
 
 
 def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=None):
@@ -230,30 +205,33 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
     scratch; the first one takes the basic values from a copy of
     ``x_start``, the fresh solve of the starting basis, when given.  Between
     refactorizations the pivots carry them: the basis inverse by one rank-1
-    eta step per basis change, the basic values by the step, the duals as
-    ``c_B @ Binv``, and each column's pricing sign (+1 at its lower bound, -1
-    at its upper, 0 when basic or fixed) by the pivot.  The inverse itself is
-    computed only when a pass pivots, so a solve that makes no pivot costs
-    just the two fresh solves (one with ``x_start``).  The basis is refactored
-    every ``_REFACTOR_EVERY`` basis changes, after every flip run, and before
+    eta step per basis change, the basic values (as floats, beside their
+    bounds) by the step, the duals as ``c_B @ Binv``, and each column's
+    pricing sign (+1 at its lower bound, -1 at its upper, 0 when basic or
+    fixed) by the pivot.  The inverse itself is computed only when a pass
+    pivots, so a solve that makes no pivot costs just the two fresh solves
+    (one with ``x_start``).  The basis is refactored every
+    ``_REFACTOR_EVERY`` basis changes, after every flip run, and before
     returning, so the returned ``x`` and duals always come from the fresh
     solve of the final basis.
 
-    Each pass prices every column and enters the one with the most negative
-    reduced cost, first index on ties (Bland's smallest index after a run of
-    degenerate pivots).  When that column's box is shorter than the ratio
-    test's step it flips to its other bound, and the pass goes on down the
-    same entering order (``_flip_run``), flipping every further column that
-    the ratio test sends to its other bound.  The first column that would
-    change the basis is left to the next pass, which re-prices and pivots on
-    it.  Each flip counts as one iteration.
+    Each pass prices every column, into one buffer that every pass reuses,
+    and enters the one with the most negative reduced cost, first index on
+    ties (Bland's smallest index after a run of degenerate pivots).  When
+    that column's box is no longer than the ratio test's step it flips to its
+    other bound, and the pass goes on down the same entering order, putting
+    each further column through the same ratio test (``_ratios``) and
+    flipping it while its box is no longer than the step.  The first column
+    that would change the basis is left to the next pass, which re-prices and
+    pivots on it.  Each flip counts as one iteration.
 
     Mutates ``basis`` and ``status`` in place.  Returns
     ``(outcome, x, duals, iterations)`` with outcome one of ``"optimal"``,
     ``"singular"``, ``"iteration_limit"``.
     """
     qt = A.shape[1]
-    free = upper > lower
+    box = upper - lower
+    free = box > 0.0
     sgn = _SIGN[status]
     sgn[~free] = 0.0
     bland = False
@@ -261,6 +239,7 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
     bland_after = 3 * qt
     iters = 0
     refactor = True
+    score = np.empty(qt)
     while True:
         if refactor:
             B = A[:, basis]
@@ -268,17 +247,19 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
                 if x_start is None:
                     x = np.where(status == _UPPER, upper, lower)
                     x[basis] = 0.0
-                    x_basic = np.linalg.solve(B, b - A @ x)
+                    x_basic = np.linalg.solve(B, b - A @ x).tolist()
                 else:
                     x, x_start = x_start.copy(), None
-                    x_basic = x[basis]
+                    x_basic = x[basis].tolist()
                 duals = np.linalg.solve(B.T, c[basis])
             except np.linalg.LinAlgError:
                 return "singular", None, None, iters
             Binv, changes, refactor = None, 0, False
         else:
             duals = c[basis] @ Binv
-        score = sgn * (c - duals @ A)  # negative where entering improves
+        np.matmul(duals, A, out=score)
+        np.subtract(c, score, out=score)
+        score *= sgn  # negative where entering improves
         if bland:
             j = int((score < -dual_tol).argmax())
         else:
@@ -290,54 +271,62 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
                 continue
             x[basis] = x_basic
             return ("optimal" if optimal else "iteration_limit"), x, duals, iters
-        if Binv is None:
+        if Binv is None:  # the basic bounds come with it, carried by each basis change
             Binv = np.linalg.inv(B)
+            blo, bup = lower[basis].tolist(), upper[basis].tolist()
         iters += 1
         from_lower = status[j] == _LOWER
         w = Binv @ A[:, j]
-        dirw = w if from_lower else -w  # basic values move by -t * dirw
-        ratios = _ratios(x_basic, dirw, lower[basis], upper[basis])
-        t_basic = float(ratios.min())
-        t_box = upper[j] - lower[j]
-        flipped = t_box <= t_basic
-        step = t_box if flipped else t_basic
-        x_basic -= step * dirw
-        if flipped:
-            status[j] = _UPPER if from_lower else _LOWER
-            sgn[j] = -sgn[j]
-        else:
-            tied = (ratios <= t_basic + _DEGEN_TOL).nonzero()[0]
-            r = int(tied[basis[tied].argmin()])  # smallest variable index leaves
-            leaving = basis[r]
-            status[leaving] = _LOWER if dirw[r] > 0 else _UPPER
-            sgn[leaving] = (1.0 if dirw[r] > 0 else -1.0) if free[leaving] else 0.0
-            basis[r] = j
-            status[j] = _BASIC
-            sgn[j] = 0.0
-            x_basic[r] = lower[j] + step if from_lower else upper[j] - step
-            piv = Binv[r] / w[r]
-            Binv -= np.outer(w, piv)
-            Binv[r] = piv
-            changes += 1
-            refactor = changes >= _REFACTOR_EVERY
+        dirw = (w if from_lower else -w).tolist()  # basic values move by -t * dirw
+        ratios = _ratios(x_basic, dirw, blo, bup)
+        step = min(ratios)
+        t_box = float(box[j])
+        if t_box <= step:
+            # A flip leaves the basis, and so the duals and the entering
+            # order, as they were: go on down that order while the columns
+            # flip, within the iteration budget.
+            cand = score < -dual_tol
+            cand[j] = False
+            order = cand.nonzero()[0]
+            if not bland:
+                order = order[np.argsort(score[order], kind="stable")]
+            order = order[:max_iter - iters]
+            D = (Binv @ A[:, order]) * sgn[order]  # each column's dirw
+            run = [j]
+            for k, d in zip(order, D.T):
+                # move by the last flip, then test column k as j was tested
+                x_basic = [v - t_box * e for v, e in zip(x_basic, dirw)]
+                t_box, dirw = float(box[k]), d.tolist()
+                if t_box > min(_ratios(x_basic, dirw, blo, bup)):
+                    break
+                run.append(k)
+            status[run] = np.where(status[run] == _LOWER, _UPPER, _LOWER)
+            sgn[run] *= -1.0
+            iters += len(run) - 1
+            degen_run, refactor = 0, True  # a flip's step is a whole box, at least 1
+            continue
+        x_basic = [v - step * e for v, e in zip(x_basic, dirw)]
+        tie = step + _DEGEN_TOL
+        r = min((i for i, t in enumerate(ratios) if t <= tie), key=basis.__getitem__)
+        leaving = basis[r]
+        status[leaving] = _LOWER if dirw[r] > 0 else _UPPER
+        sgn[leaving] = (1.0 if dirw[r] > 0 else -1.0) if free[leaving] else 0.0
+        basis[r] = j
+        status[j] = _BASIC
+        sgn[j] = 0.0
+        blo[r], bup[r] = float(lower[j]), float(upper[j])
+        x_basic[r] = blo[r] + step if from_lower else bup[r] - step
+        piv = Binv[r] / w[r]
+        Binv -= np.outer(w, piv)
+        Binv[r] = piv
+        changes += 1
+        refactor = changes >= _REFACTOR_EVERY
         if step > _DEGEN_TOL:
             degen_run = 0
         else:
             degen_run += 1
             if degen_run >= bland_after:
                 bland = True
-        if flipped and t_box > _DEGEN_TOL:
-            # the duals, and so the entering order, are as they were
-            cand = score < -dual_tol
-            cand[j] = False
-            order = cand.nonzero()[0]
-            if not bland:
-                order = order[np.argsort(score[order], kind="stable")]
-            flips = _flip_run(A, Binv, lower, upper, basis, status, order,
-                              x_basic, max_iter - iters)
-            sgn[order[:flips]] *= -1.0
-            iters += flips
-            refactor = True
 
 
 def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None) -> LpSolution:

@@ -370,31 +370,36 @@ def test_start_survives_a_failed_phase_2():
 # ---------------------------------------------------------------------------
 # box flips: a run of flips shares one pricing pass
 
+def double_integrator_l1_lp(N):
+    system = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+    dp = build_discrete(ControlProblem(system, np.array([1.0, -1.0]), 5.0), N)
+    return LpProblem(np.ones(2 * N), dp.Phi, -dp.zeta)
+
+
 @pytest.mark.parametrize("N, iterations, basis, upper_runs", [
     (1000, 203, [0, 1948], [(2, 350), (1950, 2000)]),
     (4000, 803, [0, 7800], [(2, 1402), (7802, 8000)]),
 ])
-def test_double_integrator_l1_lp_path(N, iterations, basis, upper_runs, monkeypatch):
-    # Nearly every pivot of this LP is a box flip, in a few long runs.  The
-    # batched runs take the path of pricing before every flip, which is
-    # _simplex with _flip_run flipping nothing.
-    system = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
-    dp = build_discrete(ControlProblem(system, np.array([1.0, -1.0]), 5.0), N)
-    p = LpProblem(np.ones(2 * N), dp.Phi, -dp.zeta)
-    sol = solve_lp(p)
-    with monkeypatch.context() as patch:
-        patch.setattr(handsoff.lp, "_flip_run", lambda *args: 0)
-        ref = solve_lp(p)
-    assert sol.status == ref.status == OPTIMAL
-    assert sol.iterations == ref.iterations == iterations
-    assert np.array_equal(sol.start.basis, ref.start.basis)
-    assert np.array_equal(sol.start.status, ref.start.status)
+def test_double_integrator_l1_lp_path(N, iterations, basis, upper_runs):
+    # Nearly every pivot of this LP is a box flip, in a few long runs; the
+    # pins are those of pricing before every flip.
+    sol = solve_lp(double_integrator_l1_lp(N))
+    assert sol.status == OPTIMAL and sol.iterations == iterations
     status = np.full(2 * N + 2, _LOWER, dtype=np.int8)
     for lo, hi in upper_runs:
         status[lo:hi:2] = _UPPER
     status[basis] = _BASIC
     assert np.array_equal(sol.start.basis, basis)
     assert np.array_equal(sol.start.status, status)
+
+
+def test_a_flip_run_shares_one_pricing_pass(monkeypatch):
+    # Each pricing pass is one np.matmul; pricing before every flip would
+    # make about one pass per pivot.
+    sol, passes = counting_calls(monkeypatch, np, "matmul",
+                                 lambda: solve_lp(double_integrator_l1_lp(1000)))
+    assert sol.status == OPTIMAL and sol.iterations == 203
+    assert passes <= 10
 
 
 def flip_heavy_lp(seed, rows, cols, scale, shift):
@@ -430,26 +435,6 @@ def test_flip_heavy_lps_match_enumeration(seed, rows, cols, scale, shift):
     assert_optimal_vertex(sol, p)
     assert_optimal_vertex(solve_lp(LpProblem(-p.c, p.Aeq, p.beq), start=sol.start),
                           LpProblem(-p.c, p.Aeq, p.beq))
-
-
-def test_flip_runs_cross_block_boundaries(monkeypatch):
-    # Runs that stop inside the first block of 8, that fill it and stop on
-    # the next column, and that go on into the block of 16.
-    import handsoff.lp
-
-    runs = []
-    original = handsoff.lp._flip_run
-
-    def recording(*args):
-        runs.append(original(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(handsoff.lp, "_flip_run", recording)
-    for seed in range(40):
-        for rows in (1, 2):
-            p = flip_heavy_lp(seed, rows, 12, 0.2, 1.5)
-            assert_optimal_vertex(solve_lp(p), p)
-    assert {0, 1, 7, 8, 9, 10} <= set(runs)
 
 
 @pytest.mark.parametrize("max_iter, outcome", [
@@ -514,7 +499,7 @@ def counting_calls(monkeypatch, module, name, solve):
     calls = []
     original = getattr(module, name)
     with monkeypatch.context() as patch:
-        patch.setattr(module, name, lambda *a: calls.append(1) or original(*a))
+        patch.setattr(module, name, lambda *a, **k: calls.append(1) or original(*a, **k))
         sol = solve()
     return sol, len(calls)
 
