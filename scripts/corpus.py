@@ -7,17 +7,21 @@ The corpus is the shipped ``configs/*.json``; every operation of seeds 1-3 of
 the three benchmark workloads (``perfbench/workloads.py``); the double
 integrator from x0 = (100, -1) with T = 5, N = 8, which no admissible control
 steers to the origin; and the plant x' = 5x + u over T = 256, which the
-configuration check refuses.  On each config the script runs ``compare``,
-``oracle``, and ``solve --penalty`` and ``validate --penalty`` for each of
-its penalties, one at a time, in this process, through ``handsoff.cli.main``
-imported from SRC.  The inputs come from this checkout, whichever SRC runs.
+configuration check refuses.  On each of these configs the script runs
+``compare``, ``oracle``, and ``solve --penalty`` and ``validate --penalty``
+for each of its penalties.  It then runs every refused input of the CLI
+tests (``BAD_VALUES``, ``EVERY_READER`` and ``FLAG_ERRORS`` in
+``tests/cli_inputs.py``), each with the commands its test runs.  Commands
+run one at a time, in this process, through ``handsoff.cli.main`` imported
+from SRC.  The inputs come from this checkout, whichever SRC runs.
 
-The manifest has one JSON line per command: its argv, its exit code, the
-sha256 of its stdout and of its stderr, and the sha256 of each artifact it
-wrote, with the one field the program does not reproduce, ``wall_time_s``,
-removed from the summaries.  Paths of the scratch directory are masked, so
-two manifests made on the same machine are equal exactly when every command
-behaved the same.
+The manifest has one JSON line per command: its id, ``<config name>/<command
+index>``, its argv, its exit code, the sha256 of its stdout and of its
+stderr, and the sha256 of each artifact it wrote, with the one field the
+program does not reproduce, ``wall_time_s``, removed from the summaries.
+Paths of the scratch directory are masked, so two manifests made on the same
+machine are equal exactly when every command behaved the same;
+``scripts/byte_gate.py`` compares two of them.
 """
 
 import os
@@ -36,6 +40,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+CONFIG = object()  # stands for the config's path in an argv
 L1L2 = {"kind": "l1l2", "lambda": 0.1}
 EXTRA = {
     "infeasible": {"system": {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
@@ -46,7 +51,7 @@ EXTRA = {
 
 
 def corpus_configs():
-    """(name, config) for every config of the corpus, in a fixed order."""
+    """(name, config) for every valid config of the corpus, in a fixed order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
@@ -58,16 +63,29 @@ def corpus_configs():
     return configs + list(EXTRA.items())
 
 
-def commands(cli, config_path, config):
-    """The argv lists run on one config, without ``--output``."""
+def commands(cli, config):
+    """The argv lists run on one valid config, without ``--output``."""
     pendoc = config.get("penalty", [])
     specs = [cli.penalty_label(cli.penalty_from_mapping(p))
              for p in (pendoc if isinstance(pendoc, list) else [pendoc])]
-    found = [["compare", "--config", config_path], ["oracle", "--config", config_path]]
+    found = [["compare", "--config", CONFIG], ["oracle", "--config", CONFIG]]
     for spec in specs:
-        found += [["solve", "--config", config_path, "--penalty", spec],
+        found += [["solve", "--config", CONFIG, "--penalty", spec],
                   ["validate", "--penalty", spec]]
     return found
+
+
+def refused_inputs():
+    """(name, config or None, argv lists) for each refused input of the CLI
+    tests, with the commands its test runs, in table order."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from cli_inputs import BAD_VALUES, EVERY_READER, FLAG_ERRORS, config
+
+    cases = [(f"bad_values-{i}", config(case[1]), [[case[0], "--config", CONFIG]])
+             for i, case in enumerate(BAD_VALUES)]
+    cases += [(f"every_reader-{i}", config(case[0]), [[c, "--config", CONFIG] for c in case[1]])
+              for i, case in enumerate(EVERY_READER)]
+    return cases + [(f"flag_errors-{i}", None, [argv]) for i, (argv, _) in enumerate(FLAG_ERRORS)]
 
 
 def sha(data: bytes) -> str:
@@ -122,16 +140,20 @@ def main(argv=None):
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"handsoff was imported from {cli.__file__}, not {src}")
+    cases = [(name, config, commands(cli, config)) for name, config in corpus_configs()]
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, config in corpus_configs():
-            config_path = work / f"{name}.json"
-            config_path.write_text(json.dumps(config))
-            for k, command in enumerate(commands(cli, str(config_path), config)):
-                if command[0] != "validate":
+        for name, config, argvs in cases + refused_inputs():
+            config_path = str(work / f"{name}.json")
+            if config is not None:
+                Path(config_path).write_text(json.dumps(config))
+            for k, argv in enumerate(argvs):
+                # as the tests run them: validate and a bare command take no --output
+                command = [config_path if a is CONFIG else a for a in argv]
+                if command[1:] and command[0] != "validate":
                     command += ["--output", str(work / "out" / name / str(k))]
-                lines.append(json.dumps(run(cli, command, work)))
+                lines.append(json.dumps({"id": f"{name}/{k}", **run(cli, command, work)}))
     args.output.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} commands; manifest in {args.output}")
 

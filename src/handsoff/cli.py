@@ -11,11 +11,12 @@ Every command that solves runs one chain: one discretization, one l1 LP
 (``solve_l1``), then ``run_dca(dp, pen, cfg, l1)`` for each penalty.  On
 every plant, each ``compare`` row and each certificate-mode ``oracle`` run
 is certified against the lower bound on the support that the l1 LP's duals
-prove.
+prove: it passes when its l0 is at most n*delta above that bound.
 
 Every config section (the root, ``system``, ``oracle``,
-``oracle.random_planted``, ``dca``, ``certificate`` and each penalty) passes
-one check, ``_section``: a mapping whose keys are all known.  ``solve``,
+``oracle.random_planted``, ``dca`` and each penalty) passes one check,
+``_section``: a mapping whose keys are all known.  Every number, also each
+entry of an array, is a JSON number, not a bool or a string.  ``solve``,
 ``compare`` and ``oracle`` read the same sections in one order (``_case``);
 an instance comes from exactly one of ``x0``, ``oracle.planted`` and
 ``oracle.random_planted``.
@@ -47,16 +48,10 @@ from .errors import (
     InfeasibleProblemError,
     NumericalError,
     check_number,
+    is_number,
 )
 from .lp import OPTIMAL, LpSolution
-from .oracle import (
-    MAX_ENUM_VARS,
-    CertificateTolerances,
-    brute_force_l0,
-    certificate,
-    exact_instance,
-    support_lower_bound,
-)
+from .oracle import MAX_ENUM_VARS, brute_force_l0, certificate, exact_instance, support_lower_bound
 from .penalty import KINDS, Penalty, equivalence_constant, validate_assumption
 from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete, simulate
 
@@ -76,7 +71,7 @@ class ConfigError(HandsOffError, ValueError):
 
 _PENALTY_FIELDS = {"lambda": "lam", "alpha": "alpha", "p": "p"}
 # The keys of a config's root; each command reads those it needs.
-_TOP_LEVEL = ("system", "x0", "T", "N", "penalty", "dca", "oracle", "certificate", "output_dir")
+_TOP_LEVEL = ("system", "x0", "T", "N", "penalty", "dca", "oracle", "output_dir")
 
 
 def _section(obj, name: str | None, fields) -> dict:
@@ -162,6 +157,15 @@ def _number(sub: dict, key: str, section: str | None, kind=float):
     return kind(raw)
 
 
+def _numbers(raw, what: str) -> np.ndarray:
+    """``raw`` as a float array if each of its entries is a number (the rule
+    of ``check_number``); else ConfigError "<what>, got <raw>"."""
+    arr = np.asarray(raw, dtype=object)  # a ragged list gives entries that are lists
+    if not all(is_number(v) for v in arr.flat):
+        raise ConfigError(f"{what}, got {raw!r}")
+    return arr.astype(float)
+
+
 def _penalties_from_config(doc: dict, args) -> list[Penalty]:
     """``--penalty``, else the config's ``penalty``: for ``compare`` and
     ``oracle`` a mapping or a list of them (none when the key is absent); for
@@ -182,13 +186,7 @@ def _planted_from_config(sub: dict, system: LinearSystem, T: float, N: int,
     """The planted signal of the ``oracle`` section ``sub``; None without one."""
     delta = T / N
     if "planted" in sub:
-        try:
-            if any(isinstance(v, bool) for v in np.asarray(sub["planted"], dtype=object).flat):
-                raise TypeError
-            arr = np.asarray(sub["planted"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("oracle.planted must be a flat or N x m array of "
-                              f"numbers, got {sub['planted']!r}") from None
+        arr = _numbers(sub["planted"], "oracle.planted must be a flat or N x m array of numbers")
         if arr.ndim == 1:
             if system.m != 1 or arr.shape[0] != N:
                 raise ConfigError("flat 'planted' requires m = 1 and length N")
@@ -214,9 +212,10 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[
     x0.  The instance comes from exactly one of x0, oracle.planted and
     oracle.random_planted."""
     sysdoc = _section(_require(doc, "system"), "system", ("A", "B"))
-    A, B = (_require(sysdoc, key, "system") for key in ("A", "B"))
+    A, B = (_numbers(_require(sysdoc, key, "system"), f"system.{key} must be an array of numbers")
+            for key in ("A", "B"))
     try:
-        system = LinearSystem(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+        system = LinearSystem(A, B)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad system matrices: {exc}") from exc
     T, N = _number(doc, "T", None), _number(doc, "N", None, int)
@@ -233,9 +232,9 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[
     planted = _planted_from_config(oracle, system, T, N, seed)
     if planted is not None:
         return *exact_instance(system, T, N, planted), planted
-    x0doc = _require(doc, "x0")
+    x0 = _numbers(_require(doc, "x0"), "x0 must be an array of numbers")
     try:
-        problem = ControlProblem(system, np.asarray(x0doc, dtype=float), T)
+        problem = ControlProblem(system, x0, T)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad x0/T: {exc}") from exc
     return problem, build_discrete(problem, N), None
@@ -310,7 +309,6 @@ class Case(NamedTuple):
     planted: ControlSignal | None
     penalties: list[Penalty]
     cfg: DcaConfig
-    tols: CertificateTolerances
     outdir: Path
     dp: DiscreteProblem
     seed: int | None
@@ -320,22 +318,22 @@ def _case(args) -> Case:
     """Read the config of ``solve``, ``compare`` or ``oracle`` in one fixed
     order, so a config with several faults reports the same one each time:
     the top level, the problem (``_problem_from_config``), then penalty,
-    dca, certificate and output_dir."""
+    dca and output_dir."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
     doc = load_config(args.config)
     problem, dp, planted = _problem_from_config(doc, args.seed)
     penalties = _penalties_from_config(doc, args)
-    cfg, tols = (cls(**_section(doc.get(key, {}), key, [f.name for f in dataclasses.fields(cls)]))
-                 for key, cls in (("dca", DcaConfig), ("certificate", CertificateTolerances)))
-    return Case(problem, planted, penalties, cfg, tols, _outdir(args, doc), dp, args.seed)
+    cfg = DcaConfig(**_section(doc.get("dca", {}), "dca",
+                               [f.name for f in dataclasses.fields(DcaConfig)]))
+    return Case(problem, planted, penalties, cfg, _outdir(args, doc), dp, args.seed)
 
 
 def _support_bound(case: Case, l1: LpSolution) -> float | None:
     """``support_lower_bound`` from the l1 LP's duals; None unless it verified."""
     if l1.status != OPTIMAL:
         return None
-    return support_lower_bound(case.dp, l1.duals, case.cfg.l0_threshold)
+    return support_lower_bound(case.dp, l1.duals)
 
 
 def _outputs(case: Case, bound: float | None):
@@ -357,7 +355,7 @@ def _outputs(case: Case, bound: float | None):
             entry[1] = trajectory_csv(result.u_star, entry[0])
         if bound is None:
             return entry[1], None
-        return entry[1], certificate(result.l0, bound, entry[0][-1], dp.delta, case.tols)
+        return entry[1], certificate(result.l0, bound, entry[0][-1], dp.delta)
 
     return outputs
 

@@ -29,12 +29,14 @@ from .errors import (
     NumericalError,
     ParameterError,
     check_number,
+    is_number,
 )
 from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, LpStart, solve_lp
 from .penalty import Penalty, _psi_abs, phi_subgradient, validate_assumption
 from .system import DiscreteProblem
 
 _BOX_SLACK = 1e-6  # how far rounding may take a sample or a split entry out of its box
+L0_THRESHOLD = 1e-6  # l0 counts the samples with |u| above this
 
 
 @dataclass
@@ -52,7 +54,7 @@ class ControlSignal:
             if not np.isfinite(self.samples).all():
                 raise DomainError("samples contain non-finite entries")
             raise DomainError("samples exceed the unit amplitude bound")
-        if not math.isfinite(self.delta) or self.delta <= 0:
+        if not is_number(self.delta) or not math.isfinite(self.delta) or self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
 
     @property
@@ -74,12 +76,10 @@ class DcaConfig:
     step_tol: float = 1e-9
     max_iter: int = 50
     lp_tol: float = 1e-9
-    l0_threshold: float = 1e-6
-    lp_epsilon: float = 1e-8
     warm_start: str = "l1"
 
     def __post_init__(self):
-        for name in ("cost_tol", "step_tol", "lp_tol", "l0_threshold", "lp_epsilon"):
+        for name in ("cost_tol", "step_tol", "lp_tol"):
             check_number(name, getattr(self, name), "a positive finite number",
                          lambda v: 0 < v < math.inf)
         check_number("max_iter", self.max_iter, "an integer of at least 1", lambda v: v >= 1,
@@ -128,11 +128,9 @@ def cost_jd(pen: Penalty, z: np.ndarray) -> float:
     return float(zc.sum() - (np.abs(zc) - _psi_abs(pen, np.abs(zc))).sum())
 
 
-def l0_measure(u: ControlSignal, theta: float = 1e-6) -> float:
-    """Support measure: delta times the number of samples with |u| > theta."""
-    if not math.isfinite(theta) or theta <= 0:
-        raise ParameterError(f"theta must be positive, got {theta}")
-    return float(u.delta * np.count_nonzero(np.abs(u.samples) > theta))
+def l0_measure(u: ControlSignal) -> float:
+    """Support measure: delta times the number of samples with |u| > L0_THRESHOLD."""
+    return float(u.delta * np.count_nonzero(np.abs(u.samples) > L0_THRESHOLD))
 
 
 def bang_off_bang_deviation(u: ControlSignal) -> float:
@@ -173,20 +171,20 @@ def l1_result(dp: DiscreteProblem, cfg: DcaConfig, l1: LpSolution) -> DcaResult:
     """The l1 LP's solution ``l1`` measured as a one-LP run whose one cost
     is J_d = sum of the clipped z."""
     sol = checked_lp(l1, "the l1 baseline", cfg.lp_tol)
-    return _result(dp, cfg, sol.z, cost_history=[float(sol.z.clip(0.0, 1.0).sum())],
+    return _result(dp, sol.z, cost_history=[float(sol.z.clip(0.0, 1.0).sum())],
                    feas_history=[sol.eq_residual], iterations=1, lp_solves=1,
                    stop_reason=sol.status, max_kkt_residual=sol.kkt_residual)
 
 
-def _result(dp: DiscreteProblem, cfg: DcaConfig, z: np.ndarray, **run) -> DcaResult:
+def _result(dp: DiscreteProblem, z: np.ndarray, **run) -> DcaResult:
     """The ``DcaResult`` of a run that ended on the vertex ``z``: its control,
-    l0 at ``cfg.l0_threshold``, bang-off-bang deviation, complementarity and
-    last residual, with the run's own record ``run`` for the other fields."""
+    l0, bang-off-bang deviation, complementarity and last residual, with the
+    run's own record ``run`` for the other fields."""
     m = dp.m
     u_star = recombine(z, dp.delta, m)
     vw = z.reshape(dp.N, 2 * m)
     comp = float(np.minimum(vw[:, :m], vw[:, m:]).max(initial=0.0))
-    return DcaResult(z_star=z, u_star=u_star, l0=l0_measure(u_star, cfg.l0_threshold),
+    return DcaResult(z_star=z, u_star=u_star, l0=l0_measure(u_star),
                      feas_residual=run["feas_history"][-1], complementarity_violation=comp,
                      bob_deviation=bang_off_bang_deviation(u_star), **run)
 
@@ -231,7 +229,7 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
     beq = -dp.zeta
     stop_reason = "max_iter"
     for iterations in range(1, cfg.max_iter + 1):
-        s = phi_subgradient(pen, z.clip(0.0, 1.0), eps=cfg.lp_epsilon)
+        s = phi_subgradient(pen, z.clip(0.0, 1.0))
         sol = checked_lp(solve_lp(LpProblem(1.0 - s, dp.Phi, beq), tol=cfg.lp_tol,
                                   start=sol.start), f"iteration {iterations}", cfg.lp_tol)
         max_kkt = max(max_kkt, sol.kkt_residual)
@@ -251,6 +249,6 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             stop_reason = "step_stall"
             break
 
-    return _result(dp, cfg, z, cost_history=cost_history, feas_history=feas_history,
+    return _result(dp, z, cost_history=cost_history, feas_history=feas_history,
                    iterations=iterations, lp_solves=iterations + 1, stop_reason=stop_reason,
                    max_kkt_residual=max_kkt)

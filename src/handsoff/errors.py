@@ -20,10 +20,15 @@ class ParameterError(HandsOffError, ValueError):
     """Configuration or penalty parameter outside its admissible range."""
 
 
+def is_number(val, kind=numbers.Real) -> bool:
+    """Whether ``val`` is a ``kind`` other than a bool: the one number rule."""
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
 def check_number(name: str, val, what: str, ok, kind=numbers.Real) -> None:
     """Raise ``ParameterError("<name> must be <what>, got <val!r>")`` unless
-    ``val`` is a ``kind`` other than a bool and ``ok(val)`` holds."""
-    if not isinstance(val, kind) or isinstance(val, bool) or not ok(val):
+    ``is_number(val, kind)`` and ``ok(val)`` hold."""
+    if not is_number(val, kind) or not ok(val):
         raise ParameterError(f"{name} must be {what}, got {val!r}")
 
 

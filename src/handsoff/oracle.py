@@ -4,7 +4,7 @@ Two routes, deliberately separate from the DC iteration.  A support
 certificate, for any plant: weak duality for the plain l1 LP turns a dual
 vector into a lower bound on the support measure of every control that
 reaches the origin (``support_lower_bound``), and ``certificate`` passes a
-control whose support is within a tolerance of that bound and whose
+control whose support is at most n grid steps above that bound and whose
 terminal state's norm is at most ``TERMINAL_TOL``.  And an exhaustive
 search over the three-level grid {-1, 0, 1}^(mN) for instances small
 enough to enumerate.  The search goes level by level in support size
@@ -22,28 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dca import ControlSignal, split_control
-from .errors import DimensionError, DomainError, ParameterError, SizeError, check_number
+from .dca import L0_THRESHOLD, ControlSignal, split_control
+from .errors import DimensionError, DomainError, ParameterError, SizeError
 from .linalg import as_vector
 from .system import ControlProblem, DiscreteProblem, LinearSystem, build_discrete
 
 MAX_ENUM_VARS = 16
 TERMINAL_TOL = 1e-6  # the certificate's bound on the terminal state's norm
 _CHUNK = 1 << 16  # grid points tested per matrix product
-
-
-@dataclass(frozen=True)
-class CertificateTolerances:
-    """Pass threshold ``l0`` on how far a control's support measure may
-    exceed the proven lower bound (n*delta when None: an LP vertex holds at
-    most n samples strictly inside the box)."""
-
-    l0: float | None = None
-
-    def __post_init__(self):
-        # `v >= 0` is False for NaN; inf switches the check off
-        if self.l0 is not None:
-            check_number("tolerance 'l0'", self.l0, "a nonnegative number", lambda v: v >= 0)
 
 
 @dataclass
@@ -54,25 +40,25 @@ class CertificateReport:
     passed: bool
 
 
-def support_lower_bound(dp: DiscreteProblem, duals, theta: float) -> float:
-    """A lower bound on the support measure, counted at ``theta``, of every
-    grid control with |u| <= 1 that steers dp's x0 exactly to the origin.
+def support_lower_bound(dp: DiscreteProblem, duals) -> float:
+    """A lower bound on the support measure (``l0_measure``) of every grid
+    control with |u| <= 1 that steers dp's x0 exactly to the origin.
 
     Weak duality for the l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1:
     for any y in R^n and any feasible z,
         sum(z) = sum(z) - y @ (Phi z + zeta)
                = -y @ zeta + sum_j (1 - y @ Phi_j) z_j  >=  D(y),
         D(y) = -y @ zeta + sum_j min(0, 1 - y @ Phi_j),
-    since each z_j lies in [0, 1].  A control with k of its m*N samples
-    above theta in magnitude has a split z with sum(z) = sum|u| <= k +
-    theta*m*N, so k >= D(y) - theta*m*N, and k is an integer:
+    since each z_j lies in [0, 1].  With theta = ``L0_THRESHOLD``, a control
+    with k of its m*N samples above theta in magnitude has a split z with
+    sum(z) = sum|u| <= k + theta*m*N, so k >= D(y) - theta*m*N; k is whole:
         k >= ceil(D(y) - r),    r = theta*m*N + gamma_2K * E,
     where the last term bounds the rounding in evaluating D (``_dual_value``).
     Returns delta*ceil(D(y) - r).  Any ``duals`` give a valid bound; the l1
     LP's optimal duals give the best one, D(y) = the l1 optimum.
     """
     D, rounding = _dual_value(dp, as_vector(duals, "duals"))
-    return dp.delta * math.ceil(D - (theta * dp.m * dp.N + rounding))
+    return dp.delta * math.ceil(D - (L0_THRESHOLD * dp.m * dp.N + rounding))
 
 
 def _dual_value(dp: DiscreteProblem, y: np.ndarray) -> tuple[float, float]:
@@ -90,19 +76,17 @@ def _dual_value(dp: DiscreteProblem, y: np.ndarray) -> tuple[float, float]:
     return D, two_k_u / (1.0 - two_k_u) * E  # gamma_2K * E
 
 
-def certificate(l0: float, lower_bound: float, terminal: np.ndarray, delta: float,
-                tols: CertificateTolerances | None = None) -> CertificateReport:
+def certificate(l0: float, lower_bound: float, terminal: np.ndarray,
+                delta: float) -> CertificateReport:
     """Certify a control by its support measure ``l0`` and its terminal
-    state ``terminal`` (shape (n,)): it passes when l0 is within ``tols.l0``
-    of ``lower_bound`` (``support_lower_bound``) and the terminal state's
-    norm is at most ``TERMINAL_TOL``; a non-finite terminal state fails.
-    ``delta`` is the grid step, which sets the default ``tols.l0`` =
-    n*delta.  Works on any plant; it neither measures nor simulates the
-    control."""
-    tols = tols or CertificateTolerances()
+    state ``terminal`` (shape (n,)): it passes when l0 is at most n grid
+    steps ``delta`` above ``lower_bound`` (``support_lower_bound``), as an
+    LP vertex holds at most n samples strictly inside the box (half a step
+    absorbs the rounding of the two measures, whole multiples of delta), and
+    the terminal state's norm is at most ``TERMINAL_TOL``; a non-finite one
+    fails.  Works on any plant; it neither measures nor simulates the control."""
     terminal_norm = float(np.linalg.norm(terminal))
-    l0_tol = len(terminal) * delta if tols.l0 is None else tols.l0
-    passed = terminal_norm <= TERMINAL_TOL and l0 - lower_bound <= l0_tol
+    passed = terminal_norm <= TERMINAL_TOL and l0 - lower_bound <= (len(terminal) + 0.5) * delta
     return CertificateReport(l0, lower_bound, terminal_norm, passed)
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AssumptionViolationError, DomainError, ParameterError
+from .errors import AssumptionViolationError, DomainError, ParameterError, is_number
 
 _POSITIVE = (lambda v: v > 0, "satisfy {} > 0")
 # The parameters each kind takes, each with its range (a test and its text);
@@ -42,6 +42,7 @@ PARAMETERS = {
 KINDS = tuple(PARAMETERS)
 
 _PSI_DOMAIN_SLACK = 1e-12
+_LP_FLOOR = 1e-8  # the lp kind's subgradient is evaluated no closer to 0 than this
 # The A3 check's grid, k/GRID_SIZE for k = 1..GRID_SIZE, and the least
 # margin by which each of its bounds must hold.
 GRID_SIZE = 1000
@@ -71,7 +72,7 @@ class Penalty:
             if name not in ranges:
                 if val is not None:
                     raise ParameterError(f"{self.kind}: takes no {label}, got {val}")
-            elif val is None or not math.isfinite(val) or not ranges[name][0](val):
+            elif not is_number(val) or not math.isfinite(val) or not ranges[name][0](val):
                 text = ranges[name][1].format(label)
                 raise ParameterError(f"{self.kind}: {label} must {text}, got {val}")
 
@@ -121,21 +122,20 @@ def phi(pen: Penalty, u):
     return float(out) if arr.ndim == 0 else out
 
 
-def phi_subgradient(pen: Penalty, u, eps: float = 1e-8):
+def phi_subgradient(pen: Penalty, u):
     """A deterministic subgradient of phi on [0, 1].
 
     Smooth points use the derivative, kinks the left derivative, and the
     origin the right derivative.  For the ``lp`` kind, whose right derivative
-    at 0 diverges, the derivative is evaluated no closer to 0 than ``eps``.
+    at 0 diverges, the derivative is evaluated no closer to 0 than
+    ``_LP_FLOOR``.
     """
     arr = np.asarray(u, dtype=float)
     _check_unit_box(arr, 0.0, 1.0, "phi_subgradient")
-    if not math.isfinite(eps) or eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
     a = arr.clip(0.0, 1.0)
     lam = pen.lam
     if pen.kind == "lp":
-        out = 1.0 - lam * pen.p * np.maximum(a, eps) ** (pen.p - 1.0)
+        out = 1.0 - lam * pen.p * np.maximum(a, _LP_FLOOR) ** (pen.p - 1.0)
     elif pen.kind == "mcp":
         out = np.where(a <= pen.alpha * lam, 1.0 - lam + a / pen.alpha, 1.0)
     elif pen.kind == "scad":

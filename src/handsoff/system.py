@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError, is_number
 from .linalg import as_matrix, as_vector, zoh_discretize
 
 
@@ -65,7 +65,7 @@ class ControlProblem:
             raise DimensionError(
                 f"x0 has length {self.x0.shape[0]}, expected {self.system.n}"
             )
-        if not np.isfinite(self.T) or self.T <= 0:
+        if not is_number(self.T) or not np.isfinite(self.T) or self.T <= 0:
             raise DomainError(f"T must be positive and finite, got {self.T}")
 
 

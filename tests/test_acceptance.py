@@ -98,7 +98,7 @@ def test_criterion_1_benchmark_reproduction(full_runs, fast_runs):
     max_wall = 0.0
     xi1, xi2 = X0
     for (prob, dp, runs), label in ((full_runs, "N=1000"), (fast_runs, "N=200")):
-        bound = support_lower_bound(dp, solve_l1(dp).duals, DcaConfig().l0_threshold)
+        bound = support_lower_bound(dp, solve_l1(dp).duals)
         mid = (np.arange(dp.N) + 0.5) * dp.delta
         for pen, res, wall in runs:
             u = res.u_star.samples[:, 0]

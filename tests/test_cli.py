@@ -20,20 +20,11 @@ from handsoff.errors import (
     ParameterError,
     SizeError,
 )
-from handsoff.oracle import CertificateTolerances
 from handsoff.penalty import Penalty
 from handsoff.system import ControlProblem, LinearSystem, build_discrete
 from handsoff.cli import parse_penalty_spec, penalty_from_mapping, penalty_label
 
-
-BENCH = {
-    "system": {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
-    "x0": [1.0, -1.0],
-    "T": 5.0,
-    "N": 50,
-    "penalty": {"kind": "l1l2", "lambda": 0.1},
-    "dca": {"warm_start": "l1"},
-}
+from cli_inputs import BAD_VALUES, BENCH, EVERY_READER, FLAG_ERRORS, config
 
 
 # A damped three-state plant with two inputs.  At N = 40 its l1 vertex has
@@ -46,12 +37,8 @@ DAMPED = {
 
 
 def write_config(tmp_path, name="config.json", **overrides):
-    doc = {**BENCH, **overrides}
-    for key, val in list(doc.items()):
-        if val is None:
-            del doc[key]
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(config(overrides)), encoding="utf-8")
     return str(path)
 
 
@@ -209,21 +196,27 @@ def test_solve_config_errors(tmp_path):
     assert main(["solve", "--config", cfg]) == 1
 
 
-CONFIG_FIELDS = [("dca", f) for f in fields(DcaConfig)] + [
-    ("certificate", f) for f in fields(CertificateTolerances)]
+# (section, key, value, exit code, what a section with "bogus" added is refused
+# for): each DcaConfig field at its default is taken.  The keys that are now
+# constants keep their ids, at the value they had, and are refused themselves.
+CONFIG_FIELDS = [("dca", f.name, f.default, 0, "dca fields ['bogus']")
+                 for f in fields(DcaConfig)] + [
+    ("certificate", "l0", 0.05, 1, "top-level fields ['certificate']"),
+    ("dca", "l0_threshold", 1e-6, 1, "dca fields ['bogus', 'l0_threshold']"),
+    ("dca", "lp_epsilon", 1e-8, 1, "dca fields ['bogus', 'lp_epsilon']")]
 
 
-@pytest.mark.parametrize("key,field", CONFIG_FIELDS,
-                         ids=[f"{key}.{f.name}" for key, f in CONFIG_FIELDS])
-def test_config_takes_every_field_of_its_dataclass(tmp_path, capsys, key, field):
+@pytest.mark.parametrize("section,key,value,code,unknown", CONFIG_FIELDS,
+                         ids=[f"{case[0]}.{case[1]}" for case in CONFIG_FIELDS])
+def test_config_takes_every_field_of_its_dataclass(tmp_path, capsys, section, key, value, code,
+                                                   unknown):
     pens = [{"kind": "l1l2", "lambda": 0.1}]
-    cfg = write_config(tmp_path, N=20, penalty=pens, **{key: {field.name: field.default}})
-    assert main(["compare", "--config", cfg, "--output", str(tmp_path / "ok")]) == 0
-    cfg = write_config(tmp_path, N=20, penalty=pens,
-                       **{key: {field.name: field.default, "bogus": 1}})
+    cfg = write_config(tmp_path, N=20, penalty=pens, **{section: {key: value}})
+    assert main(["compare", "--config", cfg, "--output", str(tmp_path / "ok")]) == code
+    cfg = write_config(tmp_path, N=20, penalty=pens, **{section: {key: value, "bogus": 1}})
     capsys.readouterr()
     assert main(["compare", "--config", cfg, "--output", str(tmp_path / "bad")]) == 1
-    assert capsys.readouterr().err == f"configuration error: unknown {key} fields ['bogus']\n"
+    assert capsys.readouterr().err == f"configuration error: unknown {unknown}\n"
 
 
 def test_solve_output_dir_from_config(tmp_path):
@@ -688,12 +681,14 @@ def test_compare_rows_with_equal_controls_share_one_trajectory(tmp_path, monkeyp
 
 
 def test_compare_l1_row_is_measured_like_the_dc_rows(tmp_path, monkeypatch):
+    import handsoff.dca
     from handsoff.cli import _fmt
 
     controls = record_controls(monkeypatch)
+    # a threshold of 0.25 splits the l1 vertex's fractional samples
+    monkeypatch.setattr(handsoff.dca, "L0_THRESHOLD", 0.25)
     cfg = write_config(tmp_path, **DAMPED, N=40,
-                       penalty=[{"kind": "scad", "lambda": 0.25, "alpha": 3.0}],
-                       dca={"warm_start": "l1", "l0_threshold": 0.25})
+                       penalty=[{"kind": "scad", "lambda": 0.25, "alpha": 3.0}])
     out = tmp_path / "out"
     assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
     rows = [ln.split(",") for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
@@ -704,7 +699,7 @@ def test_compare_l1_row_is_measured_like_the_dc_rows(tmp_path, monkeypatch):
         u = np.array([[float(x) for x in ln.split(",")[1:3]] for ln in lines])
         return 5.0 / 40 * np.count_nonzero(np.abs(u) > theta)
 
-    # both rows count at the threshold; at the default 1e-6 the l1 row would read more
+    # both rows count at the threshold; at 1e-6 the l1 row would read more
     assert float(rows[0][2]) == support("l1", 0.25) < support("l1", 1e-6)
     assert float(rows[1][2]) == support("scad", 0.25)
     # J_d is the objective on the clipped split, as for the DC rows
@@ -904,133 +899,6 @@ def test_double_integrator_outside_the_closed_form_is_certified(tmp_path, x0, bo
     assert [run["certificate"] for run in report["runs"]] == ["pass"] * 6
 
 
-PLANTED = {"N": 4, "T": 2.0, "x0": None, "penalty": [{"kind": "l1l2", "lambda": 0.1}]}
-ONE_SOURCE = ("an instance comes from exactly one of x0, oracle.planted and "
-              "oracle.random_planted")
-# A case whose key is no longer read (oracle.eps, validate.*,
-# certificate.terminal) carries the first word of its old message as a
-# fourth element, so that its id stays.
-BAD_VALUES = [
-    ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": "x"}},
-     "unknown oracle fields ['eps']", "oracle.eps"),
-    ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": [1]}},
-     "unknown oracle fields ['eps']", "oracle.eps"),
-    ("validate", {"validate": {"grid_size": "x"}},
-     "unknown top-level fields ['validate']", "validate.grid_size"),
-    ("validate", {"validate": {"margin": "x"}},
-     "unknown top-level fields ['validate']", "validate.margin"),
-    ("compare", {"N": 20, "certificate": {"l0": "x"}},
-     "tolerance 'l0' must be a nonnegative number, got 'x'"),
-    ("compare", {"N": 20, "certificate": {"terminal": -1}},
-     "unknown certificate fields ['terminal']", "tolerance"),
-    ("oracle", {"N": 200, "certificate": {"l0": True}},
-     "tolerance 'l0' must be a nonnegative number, got True"),
-    ("oracle", {"N": 200, "certificate": {"terminal": "x"}},
-     "unknown certificate fields ['terminal']", "tolerance"),
-    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": "x"}}},
-     "oracle.random_planted.support_size must be an integer, got 'x'"),
-    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 1.5}}},
-     "oracle.random_planted.support_size must be an integer, got 1.5"),
-    ("oracle", {**PLANTED, "oracle": {"planted": [["x"], [0.0], [0.0], [0.0]]}},
-     "oracle.planted must be a flat or N x m array of numbers, "
-     "got [['x'], [0.0], [0.0], [0.0]]"),
-    ("oracle", {**PLANTED, "oracle": {"planted": [[1.0], [0.0, 0.0], [0.0], [0.0]]}},
-     "oracle.planted must be a flat or N x m array of numbers, "
-     "got [[1.0], [0.0, 0.0], [0.0], [0.0]]"),
-    ("solve", {"N": 8.7}, "N must be an integer, got 8.7"),
-    ("oracle", {**PLANTED, "T": -2, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
-     "T must be positive and finite, got -2.0"),
-    ("oracle", {**PLANTED, "T": 0, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
-     "T must be positive and finite, got 0.0"),
-    ("solve", {"T": -2}, "T must be positive and finite, got -2.0"),
-    ("compare", {"N": 20, "dca": {"max_iter": 1e3}},
-     "max_iter must be an integer of at least 1, got 1000.0"),
-    ("compare", {"N": 20, "dca": {"max_iter": 2.5}},
-     "max_iter must be an integer of at least 1, got 2.5"),
-    ("compare", {"N": 20, "dca": {"max_iter": True}},
-     "max_iter must be an integer of at least 1, got True"),
-    ("compare", {"N": 20, "dca": {"cost_tol": True}},
-     "cost_tol must be a positive finite number, got True"),
-    ("compare", {"N": 20, "dca": {"lp_tol": "1e-9"}},
-     "lp_tol must be a positive finite number, got '1e-9'"),
-    ("solve", {"dca": {"warm_start": "zero"}}, "warm_start must be 'l1', got 'zero'"),
-    ("solve", {"N": True}, "N must be an integer, got True"),
-    ("solve", {"T": True}, "T must be a number, got True"),
-    ("solve", {"penalty": 3}, "config key 'penalty' must be a mapping"),
-    ("solve", {"penalty": {"kind": "l1l2", "lambda": "x"}},
-     "penalty field 'lambda' must be a number, got 'x'"),
-    ("solve", {"system": None}, "config is missing required key 'system'"),
-    ("solve", {"dca": [1]}, "config key 'dca' must be a mapping"),
-    ("compare", {"N": 20, "certificate": 1}, "config key 'certificate' must be a mapping"),
-    ("solve", {"penalty": [{"kind": "l1l2", "lambda": 0.1}]},
-     "'penalty' must be a single mapping for this command"),
-    ("oracle", {**PLANTED, "oracle": []}, "config key 'oracle' must be a mapping"),
-    ("oracle", {**PLANTED, "system": {"A": [[0.0]], "B": [[1.0, 1.0]]},
-                "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
-     "flat 'planted' requires m = 1 and length N"),
-    ("oracle", {**PLANTED, "oracle": {"random_planted": {}}},
-     "config is missing required key 'oracle.random_planted.support_size'"),
-    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 5}}},
-     "support_size must lie in [0, 4]"),
-    ("solve", {"system": [1]}, "config key 'system' must be a mapping"),
-    ("solve", {"system": {"A": [[0.0, 1.0]], "B": [[0.0], [1.0]]}},
-     "bad system matrices: A must be square, got (1, 2)"),
-    ("solve", {"x0": [1.0]}, "bad x0/T: x0 has length 1, expected 2"),
-    ("validate", {"penalty": 3}, "config key 'penalty' must be a mapping"),
-    ("solve", {"penalty": {"kind": "l1l2", "lambda": True}},
-     "penalty field 'lambda' must be a number, got True"),
-    ("oracle", {**PLANTED, "oracle": {"planted": [True, 0.0, 0.0, 0.0]}},
-     "oracle.planted must be a flat or N x m array of numbers, got [True, 0.0, 0.0, 0.0]"),
-    ("oracle", {**PLANTED, "oracle": {"planted": [[1.0], [False], [0.0], [0.0]]}},
-     "oracle.planted must be a flat or N x m array of numbers, "
-     "got [[1.0], [False], [0.0], [0.0]]"),
-    ("compare", {"N": 20, "certificate": {"dblint": 0.1}},
-     "unknown certificate fields ['dblint']"),
-    # one number rule: a numeric string is refused wherever a number is read
-    ("solve", {"T": "5"}, "T must be a number, got '5'"),
-    ("solve", {"N": "40"}, "N must be an integer, got '40'"),
-    ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": "1e-3"}},
-     "unknown oracle fields ['eps']", "oracle.eps"),
-    ("validate", {"validate": {"margin": "0.1"}}, "unknown top-level fields ['validate']",
-     "validate.margin"),
-    # a config's output_dir is checked even when --output overrides it
-    ("solve", {"output_dir": 5}, "output_dir must be a string, got 5"),
-    ("compare", {"N": 20, "output_dir": ["a"]}, "output_dir must be a string, got ['a']"),
-    # every section is a mapping whose keys are all known, at every level
-    ("compare", {"N": 20, "certficate": {"l0": 0.05}}, "unknown top-level fields ['certficate']"),
-    ("solve", {"system": {**BENCH["system"], "C": [[1.0]]}}, "unknown system fields ['C']"),
-    ("solve", {"system": {"A": [[0.0]]}}, "config is missing required key 'system.B'"),
-    ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "epss": 1e-3}},
-     "unknown oracle fields ['epss']"),
-    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 1, "seed": 3}}},
-     "unknown oracle.random_planted fields ['seed']"),
-    ("oracle", {**PLANTED, "oracle": {"random_planted": 2}},
-     "config key 'oracle.random_planted' must be a mapping"),
-    ("compare", {"N": 20, "dca": {"max_iters": 5}}, "unknown dca fields ['max_iters']"),
-    ("validate", {"validate": {"gridsize": 2000}}, "unknown top-level fields ['validate']"),
-    ("compare", {"N": 20, "penalty": [{"kind": "l1l2", "lambda": 0.1, "beta": 1.0}]},
-     "unknown penalty fields ['beta']"),
-    ("compare", {"N": 20, "penalty": [[0.1]]}, "config key 'penalty' must be a mapping"),
-    # solve reads the certificate section and oracle the oracle section in certificate mode too
-    ("solve", {"certificate": {"l0": "x"}},
-     "tolerance 'l0' must be a nonnegative number, got 'x'"),
-    ("oracle", {"N": 200, "oracle": {"eps": "x"}}, "unknown oracle fields ['eps']", "oracle.eps"),
-    # each penalty kind takes only its own parameters
-    ("solve", {"penalty": {"kind": "scad", "lambda": 0.25, "alpha": 3.0, "p": 0.5}},
-     "scad: takes no p, got 0.5"),
-    # an instance comes from exactly one of x0, oracle.planted and oracle.random_planted
-    ("oracle", {**PLANTED, "x0": [1.0, -1.0], "oracle": {"random_planted": {"support_size": 1}}},
-     f"config gives x0 and oracle.random_planted; {ONE_SOURCE}"),
-    ("oracle", {**PLANTED, "oracle": {"random_planted": {"support_size": 1},
-                                      "planted": [1.0, 0.0, 0.0, 0.0]}},
-     f"config gives oracle.random_planted and oracle.planted; {ONE_SOURCE}"),
-    ("compare", {**PLANTED, "x0": [1.0, -1.0],
-                 "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "random_planted": {}}},
-     f"config gives x0 and oracle.planted and oracle.random_planted; {ONE_SOURCE}"),
-    ("oracle", PLANTED, "config is missing required key 'x0'"),
-]
-
-
 def _bad_value_id(i, case):
     command, _, message, *key = case
     return f"{command}-{key[0] if key else message.split()[0]}-{i}"
@@ -1045,33 +913,6 @@ def test_bad_config_value_is_a_configuration_error(tmp_path, capsys, command, ov
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
-# Malformed inputs that some commands used to accept: each is refused by every
-# command that reads the section it is in. A case whose section is no longer
-# read (oracle.eps, validate) carries, as a fourth element, the id it had when
-# it was, so its results line up with earlier runs.
-EVERY_READER = [
-    ({"certficate": {"l0": 0.05}}, ("solve", "compare", "oracle", "validate"),
-     "unknown top-level fields ['certficate']"),
-    ({"certificate": {"l0": "x"}}, ("solve", "compare", "oracle"),
-     "tolerance 'l0' must be a nonnegative number, got 'x'"),
-    ({"certificate": {"l0": 0.05, "terminal": 1e-6}}, ("solve", "compare", "oracle"),
-     "unknown certificate fields ['terminal']"),
-    ({"oracle": {"eps": "x"}}, ("solve", "compare", "oracle"), "unknown oracle fields ['eps']",
-     "oracle.eps must be a number"),
-    ({"oracle": {"epss": 1e-3}}, ("solve", "compare", "oracle"), "unknown oracle fields ['epss']"),
-    ({"validate": {"gridsize": 2000}}, ("solve", "compare", "oracle", "validate"),
-     "unknown top-level fields ['validate']", "unknown validate fields ['gridsize']"),
-    ({"N": 4, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}}, ("solve", "compare", "oracle"),
-     f"config gives x0 and oracle.planted; {ONE_SOURCE}"),
-    ({"system": {**BENCH["system"], "C": [[1.0]]}}, ("solve", "compare", "oracle"),
-     "unknown system fields ['C']"),
-    ({"x0": None, "N": 4, "oracle": {"random_planted": {"support_size": 1, "k": 2}}},
-     ("solve", "compare", "oracle"), "unknown oracle.random_planted fields ['k']"),
-    ({"penalty": {"kind": "l1l2", "lambda": 0.1, "alpha": 3.0}},
-     ("solve", "compare", "oracle", "validate"), "l1l2: takes no alpha, got 3.0"),
-]
-
-
 @pytest.mark.parametrize("overrides,commands,message", [case[:3] for case in EVERY_READER],
                          ids=[(case[3:] or [case[2].split(",")[0]])[0] for case in EVERY_READER])
 def test_malformed_input_is_refused_by_every_command_that_reads_it(tmp_path, capsys, overrides,
@@ -1081,23 +922,6 @@ def test_malformed_input_is_refused_by_every_command_that_reads_it(tmp_path, cap
         capsys.readouterr()
         assert main([command, "--config", cfg, *output_flag(command, tmp_path / command)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
-
-
-FLAG_ERRORS = [
-    (["solve"], "the following arguments are required: --config"),
-    (["solve", "--config", "c.json", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
-    ([], "the following arguments are required: command"),
-    (["compare", "--config", "c.json", "--bogus"], "unrecognized arguments: --bogus"),
-    (["validate"], "validate needs --penalty or --config"),
-    (["oracle", "--config", str(Path(__file__).resolve().parents[1] / "configs"
-                                / "planted_oracle.json"), "--seed", "-1"],
-     "--seed must be a nonnegative integer, got -1"),
-    # validate writes no file and draws no instance
-    (["validate", "--penalty", "l1l2 lambda=0.1", "--output", "/nonexistent/x"],
-     "unrecognized arguments: --output /nonexistent/x"),
-    (["validate", "--penalty", "scad lambda=0.25 alpha=3", "--seed", "3"],
-     "unrecognized arguments: --seed 3"),
-]
 
 
 @pytest.mark.parametrize("argv,message", FLAG_ERRORS,
@@ -1154,12 +978,12 @@ def test_output_that_cannot_be_a_directory_is_a_configuration_error(tmp_path, ca
 
 
 def test_oracle_size_error_comes_before_the_certificate(tmp_path, capsys):
-    # with no size error past the cap, a bad tolerance is what gets reported
+    # with no size error past the cap, a bad dca value is what gets reported
     cfg = write_config(tmp_path, system={"A": [[0.0]], "B": [[1.0]]},
-                       x0=[1.0], N=20, T=5.0, certificate={"l0": "x"})
+                       x0=[1.0], N=20, T=5.0, dca={"lp_tol": "x"})
     assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
-        "configuration error: tolerance 'l0' must be a nonnegative number, got 'x'\n")
+        "configuration error: lp_tol must be a positive finite number, got 'x'\n")
 
 
 # ---------------------------------------------------------------------------

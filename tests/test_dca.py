@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from handsoff.dca import (
+    L0_THRESHOLD,
     ControlSignal,
     DcaConfig,
     DcaResult,
@@ -125,12 +126,25 @@ def test_cost_jd_rejects_out_of_box():
         cost_jd(Penalty("l1l2", 0.6), np.array([0.5, math.nan]))
 
 
+@pytest.mark.parametrize("make,error", [
+    (lambda: Penalty("l1l2", True), ParameterError),
+    (lambda: Penalty("l1l2", "0.5"), ParameterError),
+    (lambda: ControlProblem(double_integrator(), np.zeros(2), True), DomainError),
+    (lambda: ControlProblem(double_integrator(), np.zeros(2), "5"), DomainError),
+    (lambda: ControlSignal(True, [[1.0]]), DomainError),
+    (lambda: ControlSignal("x", [[1.0]]), DomainError),
+], ids=["penalty-bool", "penalty-str", "problem-bool", "problem-str", "signal-bool", "signal-str"])
+def test_constructors_refuse_a_bool_or_a_string_for_a_number(make, error):
+    # not read as 1, and not a bare TypeError that `except HandsOffError` misses
+    with pytest.raises(error):
+        make()
+
+
 def test_l0_measure():
-    u = ControlSignal(0.25, [[1.0], [0.0], [0.5], [1e-9]])
-    assert l0_measure(u) == pytest.approx(0.5, abs=1e-15)
-    assert l0_measure(u, theta=0.9) == pytest.approx(0.25, abs=1e-15)
-    with pytest.raises(ParameterError):
-        l0_measure(u, theta=0.0)
+    # it counts the samples strictly above L0_THRESHOLD = 1e-6 in magnitude
+    u = ControlSignal(0.25, [[1.0], [0.0], [-0.5], [1e-9], [1e-6], [-2e-6]])
+    assert L0_THRESHOLD == 1e-6
+    assert l0_measure(u) == 0.75
 
 
 def test_bang_off_bang_deviation():
@@ -189,12 +203,15 @@ def test_l1_result_measures_the_l1_vertex_like_a_run():
     plant = LinearSystem([[-0.3, -0.137, -0.383], [0.137, -0.3, -0.338], [0.383, 0.338, -0.3]],
                          [[-1.265, -0.623], [0.041, -2.325], [-0.219, -1.246]])
     dp = build_discrete(ControlProblem(plant, np.array([-0.227, -0.169, -0.098]), 5.0), 40)
-    cfg = DcaConfig(l0_threshold=0.25)
+    cfg = DcaConfig()
     l1 = solve_l1(dp, cfg)
     res = l1_result(dp, cfg, l1)
     assert res.z_star is l1.z and (res.iterations, res.lp_solves) == (1, 1)
     assert res.cost_history == [float(np.sum(np.clip(l1.z, 0.0, 1.0)))]
-    assert res.l0 == l0_measure(res.u_star, 0.25) < l0_measure(res.u_star)
+    # l0 counts the three fractional samples with the bang ones
+    u = res.u_star.samples
+    assert res.l0 == l0_measure(res.u_star) == dp.delta * np.count_nonzero(np.abs(u) > 1e-6)
+    assert np.count_nonzero((np.abs(u) > 1e-6) & (np.abs(u) < 1.0 - 1e-6)) == 3
     assert res.feas_history == [res.feas_residual] == [l1.eq_residual]
     infeasible = build_discrete(ControlProblem(double_integrator(), np.array([100.0, 0.0]), 1.0), 8)
     with pytest.raises(InfeasibleProblemError):
@@ -261,7 +278,7 @@ def test_step_stall_keeps_the_last_lp_vertex():
     cfg = DcaConfig(warm_start="l1", step_tol=1.0, cost_tol=1e-300)
     res = run_dca(dp, pen, cfg)
     l1 = solve_l1(dp, cfg)
-    s = phi_subgradient(pen, np.clip(l1.z, 0.0, 1.0), eps=cfg.lp_epsilon)
+    s = phi_subgradient(pen, np.clip(l1.z, 0.0, 1.0))
     step = solve_lp(LpProblem(1.0 - s, dp.Phi, -dp.zeta), tol=cfg.lp_tol, start=l1.start)
     assert res.stop_reason == "step_stall" and res.iterations == 1
     assert np.array_equal(res.z_star, step.z)
