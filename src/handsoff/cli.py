@@ -8,15 +8,17 @@ Commands
                the enumeration cap, the support certificate
 
 Every command that solves runs one chain: one discretization, one l1 LP
-(``solve_l1``), then ``run_dca(dp, pen, cfg, l1)`` for each penalty.  On
-every plant, each ``compare`` row and each certificate-mode ``oracle`` run
-is certified against the lower bound on the support that the l1 LP's duals
-prove: it passes when its l0 is at most n*delta above that bound.
+(``solve_l1``), then ``run_dca(dp, pen, cfg, l1)`` for each penalty; the
+run's stopping rule and LP tolerance are constants, so ``dca`` takes only
+``warm_start``.  On every plant, each ``compare`` row and each
+certificate-mode ``oracle`` run is certified against the lower bound on the
+support that the l1 LP's duals prove: it passes when its l0 is at most
+n*delta above that bound.
 
 Every config section (the root, ``system``, ``oracle``,
 ``oracle.random_planted``, ``dca`` and each penalty) passes one check,
 ``_section``: a mapping whose keys are all known.  Every number, also each
-entry of an array, is a JSON number, not a bool or a string.  ``solve``,
+entry of an array, is a finite JSON number, not a bool or a string.  ``solve``,
 ``compare`` and ``oracle`` read the same sections in one order (``_case``);
 an instance comes from exactly one of ``x0``, ``oracle.planted`` and
 ``oracle.random_planted``.
@@ -219,7 +221,7 @@ def _problem_from_config(doc: dict, seed: int | None) -> tuple[
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad system matrices: {exc}") from exc
     T, N = _number(doc, "T", None), _number(doc, "N", None, int)
-    if not np.isfinite(T) or T <= 0:
+    if T <= 0:  # a number passed by _number is finite
         raise ConfigError(f"T must be positive and finite, got {T}")
     if N < 1:
         raise ConfigError(f"N must be at least 1, got {N}")
@@ -374,7 +376,7 @@ def _record(case: Case, outputs, l1: LpSolution, pen: Penalty | None, suffix: st
     ``suffix``, the run writes trajectory<suffix>.csv and, for a penalty,
     summary<suffix>.json."""
     t0 = time.perf_counter()
-    result = (l1_result(case.dp, case.cfg, l1) if pen is None
+    result = (l1_result(case.dp, l1) if pen is None
               else run_dca(case.dp, pen, case.cfg, l1))
     wall = time.perf_counter() - t0
     text, report = outputs(result, suffix is not None)
@@ -425,7 +427,7 @@ def _first_failure(records: list[dict]) -> int:
 
 def cmd_solve(args) -> int:
     case = _case(args)
-    rec = _record(case, _outputs(case, None), solve_l1(case.dp, case.cfg), case.penalties[0], "")
+    rec = _record(case, _outputs(case, None), solve_l1(case.dp), case.penalties[0], "")
     print(f"solve: {rec['penalty']}  l0={rec['l0']:.6g}  "
           f"iterations={rec['iterations']}  lp_solves={rec['lp_solves']}  "
           f"stop={rec['stop_reason']}")
@@ -445,7 +447,7 @@ def _comparison_table(path, rows) -> None:
 
 def cmd_compare(args) -> int:
     case = _case(args)
-    l1 = solve_l1(case.dp, case.cfg)  # the baseline row, and where every run starts
+    l1 = solve_l1(case.dp)  # the baseline row, and where every run starts
     records = _records(case, _outputs(case, _support_bound(case, l1)), l1,
                        [None, *case.penalties], write=True)
     _comparison_table(case.outdir / "comparison.csv", records)
@@ -477,7 +479,7 @@ def cmd_oracle(args) -> int:
     if planted is not None:
         report["planted_support_measure"] = l0_measure(planted)
 
-    l1 = solve_l1(dp, case.cfg)  # where every run starts
+    l1 = solve_l1(dp)  # where every run starts
     bound = None
     keys = ("penalty", "status", "l0", "iterations", "lp_solves", "bob_deviation")
     enumeration = dp.m * dp.N <= MAX_ENUM_VARS

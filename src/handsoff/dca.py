@@ -5,8 +5,9 @@ g(z) = sum(z) (the l1 norm on the nonnegative box) and
 h(z) = sum of the concave gaps phi(z_i).  From the plain l1 LP's vertex, each
 iteration linearizes h at the current point with a subgradient s and
 minimizes g - s @ z, a boxed LP with cost vector 1 - s.  The loop stops on a
-cost stall, a step stall, an ascent (a step that raises the cost, which is
-rejected), or the iteration cap, whichever fires first.
+cost stall (``COST_TOL``), a step stall (``STEP_TOL``), an ascent (a step
+that raises the cost, which is rejected), or the iteration cap
+(``MAX_ITER``), whichever fires first.
 Every LP of a run has the feasible set Phi z = -zeta, 0 <= z <= 1, so the
 simplex's phase 1 runs at most once per run, and not at all when the caller
 passes the solution of the plain l1 LP over that set (``solve_l1``).  Each LP
@@ -15,8 +16,6 @@ re-optimizes from the last vertex instead of walking back to it from the
 phase-1 basis.
 """
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +27,17 @@ from .errors import (
     InfeasibleProblemError,
     NumericalError,
     ParameterError,
-    check_number,
     is_number,
 )
-from .lp import INFEASIBLE, NUMERICAL_FAILURE, LpProblem, LpSolution, LpStart, solve_lp
+from .lp import INFEASIBLE, NUMERICAL_FAILURE, TOL, LpProblem, LpSolution, LpStart, solve_lp
 from .penalty import Penalty, _psi_abs, phi_subgradient, validate_assumption
 from .system import DiscreteProblem
 
 _BOX_SLACK = 1e-6  # how far rounding may take a sample or a split entry out of its box
 L0_THRESHOLD = 1e-6  # l0 counts the samples with |u| above this
+COST_TOL = 1e-8  # a cost change at most this stalls the run; a rise above it is an ascent
+STEP_TOL = 1e-9  # a step that moves no entry of the split control by more stalls it
+MAX_ITER = 50  # the iteration cap
 
 
 @dataclass
@@ -54,7 +55,7 @@ class ControlSignal:
             if not np.isfinite(self.samples).all():
                 raise DomainError("samples contain non-finite entries")
             raise DomainError("samples exceed the unit amplitude bound")
-        if not is_number(self.delta) or not math.isfinite(self.delta) or self.delta <= 0:
+        if not is_number(self.delta) or self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
 
     @property
@@ -72,18 +73,9 @@ class DcaConfig:
     ``warm_start`` has one legal value, ``"l1"``; the field stays so that
     configs which name it keep loading."""
 
-    cost_tol: float = 1e-8
-    step_tol: float = 1e-9
-    max_iter: int = 50
-    lp_tol: float = 1e-9
     warm_start: str = "l1"
 
     def __post_init__(self):
-        for name in ("cost_tol", "step_tol", "lp_tol"):
-            check_number(name, getattr(self, name), "a positive finite number",
-                         lambda v: 0 < v < math.inf)
-        check_number("max_iter", self.max_iter, "an integer of at least 1", lambda v: v >= 1,
-                     numbers.Integral)
         if self.warm_start != "l1":
             raise ParameterError(f"warm_start must be 'l1', got {self.warm_start!r}")
 
@@ -139,12 +131,12 @@ def bang_off_bang_deviation(u: ControlSignal) -> float:
     return float(np.minimum(a, np.abs(a - 1.0)).max())
 
 
-def checked_lp(sol: LpSolution, what: str, tol: float) -> LpSolution:
+def checked_lp(sol: LpSolution, what: str) -> LpSolution:
     """Return an optimal LP solution; raise for the other statuses.
 
     ``InfeasibleProblemError`` carries the phase-1 certificate;
     ``NumericalError`` names the failed LP (``what``), its equality and KKT
-    residuals and the tolerance ``tol`` the solve held both to.
+    residuals and the tolerance ``lp.TOL`` the solve held both to.
     """
     if sol.status == INFEASIBLE:
         raise InfeasibleProblemError(
@@ -154,23 +146,21 @@ def checked_lp(sol: LpSolution, what: str, tol: float) -> LpSolution:
         )
     if sol.status == NUMERICAL_FAILURE:
         raise NumericalError(f"LP failure in {what} (equality residual {sol.eq_residual:.3e}, "
-                             f"KKT residual {sol.kkt_residual:.3e}, tolerance {tol:.3e})")
+                             f"KKT residual {sol.kkt_residual:.3e}, tolerance {TOL:.3e})")
     return sol
 
 
-def solve_l1(dp: DiscreteProblem, cfg: DcaConfig = DcaConfig(),
-             start: LpStart | None = None) -> LpSolution:
-    """The plain l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1, at
-    ``cfg.lp_tol`` from ``start``: the convex baseline and every DC run's
-    start.  Its status is unchecked; ``l1_result`` and ``run_dca`` check it."""
-    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta),
-                    tol=cfg.lp_tol, start=start)
+def solve_l1(dp: DiscreteProblem, start: LpStart | None = None) -> LpSolution:
+    """The plain l1 LP, min sum(z) over Phi z = -zeta, 0 <= z <= 1, from
+    ``start``: the convex baseline and every DC run's start.  Its status is
+    unchecked; ``l1_result`` and ``run_dca`` check it."""
+    return solve_lp(LpProblem(np.ones(2 * dp.m * dp.N), dp.Phi, -dp.zeta), start=start)
 
 
-def l1_result(dp: DiscreteProblem, cfg: DcaConfig, l1: LpSolution) -> DcaResult:
+def l1_result(dp: DiscreteProblem, l1: LpSolution) -> DcaResult:
     """The l1 LP's solution ``l1`` measured as a one-LP run whose one cost
     is J_d = sum of the clipped z."""
-    sol = checked_lp(l1, "the l1 baseline", cfg.lp_tol)
+    sol = checked_lp(l1, "the l1 baseline")
     return _result(dp, sol.z, cost_history=[float(sol.z.clip(0.0, 1.0).sum())],
                    feas_history=[sol.eq_residual], iterations=1, lp_solves=1,
                    stop_reason=sol.status, max_kkt_residual=sol.kkt_residual)
@@ -199,16 +189,17 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
 
     Every LP of the run shares dp's feasible set, so phase 1 runs at most
     once, and each LP starts phase 2 from the basis the one before it ended
-    on.  ``l1``, the caller's ``solve_l1(dp, cfg)``, spares the run phase 1:
-    its first LP starts from that basis, makes no pivots and returns
-    ``l1``'s vertex, so the result is the same bit for bit.  A solution for
-    another problem or ``cfg.lp_tol`` is refused at the first LP with
-    ``ParameterError`` (``DimensionError`` if its size differs).
+    on.  ``l1``, the caller's ``solve_l1(dp)``, spares the run phase 1: its
+    first LP starts from that basis, makes no pivots and returns ``l1``'s
+    vertex, so the result is the same bit for bit.  A solution for another
+    problem is refused at the first LP with ``ParameterError``
+    (``DimensionError`` if its size differs).  ``cfg`` is not read: its one
+    field, ``warm_start``, has one legal value.
 
     ``stop_reason`` is ``"cost_stall"``, ``"step_stall"``, ``"max_iter"`` or
     ``"ascent"``: an LP whose vertex raises ``cost_jd`` by more than
-    ``cfg.cost_tol`` is rejected and the run keeps the previous iterate; that
-    LP counts in ``iterations``, ``lp_solves`` and ``max_kkt_residual`` only.
+    ``COST_TOL`` is rejected and the run keeps the previous iterate; that LP
+    counts in ``iterations``, ``lp_solves`` and ``max_kkt_residual`` only.
 
     Raises ``AssumptionViolationError`` (with the frozen report) for an
     inadmissible penalty, ``InfeasibleProblemError`` (with the phase-1
@@ -222,30 +213,29 @@ def run_dca(dp: DiscreteProblem, pen: Penalty, cfg: DcaConfig = DcaConfig(),
             f" (worst margin {report.worst_margin:.3e} at u={report.witness_u})",
             report=report,
         )
-    sol = checked_lp(solve_l1(dp, cfg, None if l1 is None else l1.start),
-                     "the l1 warm start", cfg.lp_tol)
+    sol = checked_lp(solve_l1(dp, None if l1 is None else l1.start), "the l1 warm start")
     z, max_kkt, prev_cost = sol.z, sol.kkt_residual, cost_jd(pen, sol.z)
     cost_history, feas_history = [prev_cost], [sol.eq_residual]
     beq = -dp.zeta
     stop_reason = "max_iter"
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         s = phi_subgradient(pen, z.clip(0.0, 1.0))
-        sol = checked_lp(solve_lp(LpProblem(1.0 - s, dp.Phi, beq), tol=cfg.lp_tol,
-                                  start=sol.start), f"iteration {iterations}", cfg.lp_tol)
+        sol = checked_lp(solve_lp(LpProblem(1.0 - s, dp.Phi, beq), start=sol.start),
+                         f"iteration {iterations}")
         max_kkt = max(max_kkt, sol.kkt_residual)
         cost_new = cost_jd(pen, sol.z)
-        if cost_new - prev_cost > cfg.cost_tol:
+        if cost_new - prev_cost > COST_TOL:
             stop_reason = "ascent"
             break
         cost_history.append(cost_new)
         feas_history.append(sol.eq_residual)
         step = float(np.abs(sol.z - z).max())
-        done_cost = abs(cost_new - prev_cost) <= cfg.cost_tol
+        done_cost = abs(cost_new - prev_cost) <= COST_TOL
         z, prev_cost = sol.z, cost_new
         if done_cost:
             stop_reason = "cost_stall"
             break
-        if step <= cfg.step_tol:
+        if step <= STEP_TOL:
             stop_reason = "step_stall"
             break
 

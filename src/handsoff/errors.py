@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one check of a
 numeric parameter's type and range."""
 
+import math
 import numbers
 
 
@@ -21,8 +22,11 @@ class ParameterError(HandsOffError, ValueError):
 
 
 def is_number(val, kind=numbers.Real) -> bool:
-    """Whether ``val`` is a ``kind`` other than a bool: the one number rule."""
-    return isinstance(val, kind) and not isinstance(val, bool)
+    """Whether ``val`` is a finite ``kind`` other than a bool: the one number rule."""
+    try:
+        return isinstance(val, kind) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def check_number(name: str, val, what: str, ok, kind=numbers.Real) -> None:

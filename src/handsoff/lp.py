@@ -14,14 +14,14 @@ the ratio test costs less in Python than numpy's per-call overhead does.
 Every ``_REFACTOR_EVERY`` (32) basis changes, after every run of box flips,
 and before a pass returns, the basis is refactored: the basic values and the
 duals are solved from scratch.  What ``solve_lp`` returns, and checks against
-its tolerance, is therefore always the fresh solve of the final basis
+``TOL``, is therefore always the fresh solve of the final basis
 (possibly made by the call that produced the start), never a carried value.
 Because every variable is boxed the problem is never unbounded, and every
 optimum returned is a vertex: at most one basic variable per row sits
 strictly between its bounds.
 
 Phase 1 starts from signed artificial columns and minimizes their sum; an
-optimum above the tolerance is returned as the infeasibility certificate.
+optimum above ``TOL`` is returned as the infeasibility certificate.
 Pricing is most-negative-reduced-cost with first-index tie-breaking,
 switching to Bland's smallest-index rule after a run of degenerate pivots,
 which makes the pivot sequence (and therefore the output bytes) reproducible.
@@ -70,6 +70,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 NUMERICAL_FAILURE = "numerical_failure"
 
+TOL = 1e-9  # every verdict's bound on the equality, KKT and phase-1 residuals
 _LOWER, _UPPER, _BASIC = 0, 1, 2
 _PIVOT_TOL = 1e-11
 _DEGEN_TOL = 1e-12
@@ -100,34 +101,31 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpStart:
-    """The basis a solve over ``Aeq @ z = beq, 0 <= z <= 1`` at tolerance
-    ``tol`` ended on: primal feasible, so reusable as the phase-2 start of
-    any objective over that set.
+    """The basis a solve over ``Aeq @ z = beq, 0 <= z <= 1`` ended on:
+    primal feasible, so reusable as the phase-2 start of any objective over
+    that set.
 
     ``A`` is the augmented matrix ``[Aeq | diag(signs)]``, one signed
-    artificial column per row, ``beq`` a private copy, and ``lower``/``upper``
-    phase 2's read-only bounds (artificials pinned at 0), all four made when
+    artificial column per row, ``beq`` a private copy, and ``upper`` phase
+    2's read-only upper bounds (artificials pinned at 0), all three made when
     phase 1 ran and shared by every start derived from it.  ``basis`` and
     ``status`` index ``A``'s columns, and ``x`` is the fresh solve of that
     basis.  Nothing writes to any of the arrays; ``solve_lp`` copies ``basis``,
     ``status`` and ``x``.  A start keeps no phase-1 value: phase 1 makes one
-    only from an optimum at most ``tol``.
+    only from an optimum at most ``TOL``.
     """
 
     A: np.ndarray
     beq: np.ndarray
-    tol: float
     basis: np.ndarray
     status: np.ndarray
     x: np.ndarray
-    lower: np.ndarray
     upper: np.ndarray
 
-    def matches(self, problem: LpProblem, tol: float) -> bool:
-        """Whether this start was built for ``problem``'s feasible set at ``tol``."""
+    def matches(self, problem: LpProblem) -> bool:
+        """Whether this start was built for ``problem``'s feasible set."""
         Aeq = self.A[:, :-self.beq.size]  # shape compared too: no prefix matches
-        return (self.tol == tol and np.array_equal(Aeq, problem.Aeq)
-                and np.array_equal(self.beq, problem.beq))
+        return np.array_equal(Aeq, problem.Aeq) and np.array_equal(self.beq, problem.beq)
 
 
 @dataclass
@@ -181,15 +179,15 @@ def _kkt(problem, z, duals, eq):
     return float(max(eq, box, viol.max(initial=0.0)))
 
 
-def _ratios(x_basic, dirw, blo, bup):
-    """Steps at which each basic variable reaches a bound when the entering
-    variable moves the basic values by ``-t * dirw`` from ``x_basic``; inf
-    where ``dirw`` does not reach one.  Lists of floats in and out; the
-    entering column and every column of a flip run go through it."""
+def _ratios(x_basic, dirw, bup):
+    """Steps at which each basic variable reaches 0 or its upper bound ``bup``
+    when the entering variable moves the basic values by ``-t * dirw`` from
+    ``x_basic``; inf where ``dirw`` does not reach one.  Lists of floats in
+    and out; the entering column and every column of a flip run go through it."""
     steps = []
-    for x, d, lo, up in zip(x_basic, dirw, blo, bup):
+    for x, d, up in zip(x_basic, dirw, bup):
         if d > _PIVOT_TOL:
-            t = (x - lo) / d
+            t = x / d
         elif d < -_PIVOT_TOL:
             t = (up - x) / -d
         else:
@@ -198,8 +196,8 @@ def _ratios(x_basic, dirw, blo, bup):
     return steps
 
 
-def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=None):
-    """Pivot the current basis to optimality for objective c.
+def _simplex(A, b, c, upper, basis, status, dual_tol, max_iter, x_start=None):
+    """Pivot the current basis to optimality for objective c over 0 <= x <= upper.
 
     A refactorization solves for the basic values and the duals from
     scratch; the first one takes the basic values from a copy of
@@ -230,8 +228,7 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
     ``"singular"``, ``"iteration_limit"``.
     """
     qt = A.shape[1]
-    box = upper - lower
-    free = box > 0.0
+    free = upper > 0.0
     sgn = _SIGN[status]
     sgn[~free] = 0.0
     bland = False
@@ -245,7 +242,7 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
             B = A[:, basis]
             try:
                 if x_start is None:
-                    x = np.where(status == _UPPER, upper, lower)
+                    x = np.where(status == _UPPER, upper, 0.0)
                     x[basis] = 0.0
                     x_basic = np.linalg.solve(B, b - A @ x).tolist()
                 else:
@@ -273,14 +270,14 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
             return ("optimal" if optimal else "iteration_limit"), x, duals, iters
         if Binv is None:  # the basic bounds come with it, carried by each basis change
             Binv = np.linalg.inv(B)
-            blo, bup = lower[basis].tolist(), upper[basis].tolist()
+            bup = upper[basis].tolist()
         iters += 1
         from_lower = status[j] == _LOWER
         w = Binv @ A[:, j]
         dirw = (w if from_lower else -w).tolist()  # basic values move by -t * dirw
-        ratios = _ratios(x_basic, dirw, blo, bup)
+        ratios = _ratios(x_basic, dirw, bup)
         step = min(ratios)
-        t_box = float(box[j])
+        t_box = float(upper[j])
         if t_box <= step:
             # A flip leaves the basis, and so the duals and the entering
             # order, as they were: go on down that order while the columns
@@ -296,8 +293,8 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
             for k, d in zip(order, D.T):
                 # move by the last flip, then test column k as j was tested
                 x_basic = [v - t_box * e for v, e in zip(x_basic, dirw)]
-                t_box, dirw = float(box[k]), d.tolist()
-                if t_box > min(_ratios(x_basic, dirw, blo, bup)):
+                t_box, dirw = float(upper[k]), d.tolist()
+                if t_box > min(_ratios(x_basic, dirw, bup)):
                     break
                 run.append(k)
             status[run] = np.where(status[run] == _LOWER, _UPPER, _LOWER)
@@ -314,8 +311,8 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
         basis[r] = j
         status[j] = _BASIC
         sgn[j] = 0.0
-        blo[r], bup[r] = float(lower[j]), float(upper[j])
-        x_basic[r] = blo[r] + step if from_lower else bup[r] - step
+        bup[r] = float(upper[j])
+        x_basic[r] = step if from_lower else bup[r] - step
         piv = Binv[r] / w[r]
         Binv -= np.outer(w, piv)
         Binv[r] = piv
@@ -329,68 +326,65 @@ def _simplex(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=N
                 bland = True
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9, start: LpStart | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, start: LpStart | None = None) -> LpSolution:
     """Solve the boxed LP; statuses: optimal, infeasible, numerical_failure.
 
     One pass: phase 1 only without ``start``, phase 2 only from a start (the
-    one given, or phase 1's when its optimum is at most ``tol``), then one
+    one given, or phase 1's when its optimum is at most ``TOL``), then one
     verdict on the last phase's point: the equality residual once, and the
     KKT residual (``kkt_residual``'s, bit for bit) of a phase-2 optimum only.
     ``optimal``: a phase-2 vertex with equality and KKT residuals at most
-    ``tol`` (verified, not assumed).
-    ``infeasible``: a phase-1 optimum above ``tol``, carried in
+    ``TOL`` (verified, not assumed).
+    ``infeasible``: a phase-1 optimum above ``TOL``, carried in
     ``phase1_value`` with the closest point found, whose equality residual it
     bounds.  ``numerical_failure``: anything else (a singular basis or the
     iteration cap in either phase, or a phase-2 point that fails the test),
     with KKT residual inf unless phase 2 reached an optimum.
 
     With ``start`` (the ``start`` of an earlier solution over the same
-    ``Aeq``, ``beq`` and ``tol``) phase 1 is skipped and phase 2 begins from
-    the basis that solve ended on.  The result is optimal at the same verified
+    ``Aeq`` and ``beq``) phase 1 is skipped and phase 2 begins from the basis
+    that solve ended on.  The result is optimal at the same verified
     tolerance as a solve without it, but on ties it may be another optimal
     vertex; re-solving an objective from its own returned start makes no
     pivots and returns the same ``z``.  A start built for another feasible set
-    or tolerance raises ``ParameterError``.
+    raises ``ParameterError``.
     """
-    if not math.isfinite(tol) or tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    if start is not None and not start.matches(problem, tol):
-        raise ParameterError("start was built for another Aeq, beq or tol")
+    if start is not None and not start.matches(problem):
+        raise ParameterError("start was built for another Aeq or beq")
     n, q = problem.Aeq.shape
     r = problem.beq
     max_iter = 50 * (q + n) + 1000
-    dual_tol = 0.5 * tol
+    dual_tol = 0.5 * TOL
     phase1, iters = 0.0, 0
     if start is None:
         A = np.hstack([problem.Aeq, np.diag(np.where(r < 0, -1.0, 1.0))])
-        lower = np.zeros(q + n)
         upper = np.ones(q + n)
         upper[q:] = float(np.sum(np.abs(r))) + 1.0
         status = np.full(q + n, _LOWER, dtype=np.int8)
         status[q:] = _BASIC
         basis = np.arange(q, q + n)
         c1 = np.concatenate([np.zeros(q), np.ones(n)])
-        out, x, duals, iters = _simplex(A, r, c1, lower, upper, basis, status, dual_tol, max_iter)
+        out, x, duals, iters = _simplex(A, r, c1, upper, basis, status, dual_tol, max_iter)
         phase1 = float(c1 @ x) if out == "optimal" else float("inf")
-        if phase1 <= tol:
+        if phase1 <= TOL:
             upper[q:] = 0.0  # artificials pinned for phase 2
-            lower.flags.writeable = upper.flags.writeable = False
-            start = LpStart(A, r.copy(), tol, basis.copy(), status.copy(), x, lower, upper)
+            upper.flags.writeable = False
+            start = LpStart(A, r.copy(), basis.copy(), status.copy(), x, upper)
     if start is not None:
         basis, status = start.basis.copy(), start.status.copy()
         c2 = np.concatenate([problem.c, np.zeros(n)])
-        out, x, duals, it = _simplex(start.A, r, c2, start.lower, start.upper, basis, status,
-                                     dual_tol, max_iter, start.x)
+        out, x, duals, it = _simplex(start.A, r, c2, start.upper, basis, status, dual_tol,
+                                     max_iter, start.x)
         iters += it
 
     z = np.zeros(q) if x is None else x[:q].copy()
     eq = float(np.abs(problem.Aeq @ z - problem.beq).max())
     solved = start is not None and out == "optimal"  # a phase-2 optimum
     kkt = _kkt(problem, z, duals, eq) if solved else float("inf")
-    if eq <= tol and kkt <= tol:
+    if eq <= TOL and kkt <= TOL:
         verdict = OPTIMAL
-        start = LpStart(start.A, start.beq, tol, basis, status, x, start.lower, start.upper)
-    else:  # a finite phase-1 optimum without a start is above tol
+        start = LpStart(start.A, start.beq, basis, status, x, start.upper)
+    else:  # a finite phase-1 optimum without a start is above TOL
         verdict = INFEASIBLE if start is None and np.isfinite(phase1) else NUMERICAL_FAILURE
     return LpSolution(z, float(problem.c @ z), verdict, eq, kkt, iters,
                       np.zeros(n) if duals is None else duals.copy(), phase1, start)

@@ -17,7 +17,6 @@ returns ``1 - phi(1)``, the factor that converts the discrete objective
 into a support count on bang-off-bang signals.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,7 +71,7 @@ class Penalty:
             if name not in ranges:
                 if val is not None:
                     raise ParameterError(f"{self.kind}: takes no {label}, got {val}")
-            elif not is_number(val) or not math.isfinite(val) or not ranges[name][0](val):
+            elif not is_number(val) or not ranges[name][0](val):
                 text = ranges[name][1].format(label)
                 raise ParameterError(f"{self.kind}: {label} must {text}, got {val}")
 

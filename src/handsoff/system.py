@@ -65,7 +65,7 @@ class ControlProblem:
             raise DimensionError(
                 f"x0 has length {self.x0.shape[0]}, expected {self.system.n}"
             )
-        if not is_number(self.T) or not np.isfinite(self.T) or self.T <= 0:
+        if not is_number(self.T) or self.T <= 0:
             raise DomainError(f"T must be positive and finite, got {self.T}")
 
 

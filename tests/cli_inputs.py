@@ -21,12 +21,13 @@ def config(overrides: dict) -> dict:
     return {k: v for k, v in {**BENCH, **overrides}.items() if v is not None}
 
 
+BIG = 10**400  # a 401-digit integer, beyond the float range
 PLANTED = {"N": 4, "T": 2.0, "x0": None, "penalty": [{"kind": "l1l2", "lambda": 0.1}]}
 ONE_SOURCE = ("an instance comes from exactly one of x0, oracle.planted and "
               "oracle.random_planted")
 # A case whose key is no longer read (oracle.eps, validate.*, the
-# certificate section) carries the first word of its old message as a
-# fourth element, so that its id stays.
+# certificate section, dca.max_iter, cost_tol and lp_tol) carries the first
+# word of its old message as a fourth element, so that its id stays.
 BAD_VALUES = [
     ("oracle", {**PLANTED, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0], "eps": "x"}},
      "unknown oracle fields ['eps']", "oracle.eps"),
@@ -60,16 +61,15 @@ BAD_VALUES = [
     ("oracle", {**PLANTED, "T": 0, "oracle": {"planted": [1.0, 0.0, 0.0, 0.0]}},
      "T must be positive and finite, got 0.0"),
     ("solve", {"T": -2}, "T must be positive and finite, got -2.0"),
-    ("compare", {"N": 20, "dca": {"max_iter": 1e3}},
-     "max_iter must be an integer of at least 1, got 1000.0"),
-    ("compare", {"N": 20, "dca": {"max_iter": 2.5}},
-     "max_iter must be an integer of at least 1, got 2.5"),
-    ("compare", {"N": 20, "dca": {"max_iter": True}},
-     "max_iter must be an integer of at least 1, got True"),
-    ("compare", {"N": 20, "dca": {"cost_tol": True}},
-     "cost_tol must be a positive finite number, got True"),
-    ("compare", {"N": 20, "dca": {"lp_tol": "1e-9"}},
-     "lp_tol must be a positive finite number, got '1e-9'"),
+    ("compare", {"N": 20, "dca": {"max_iter": 1e3}}, "unknown dca fields ['max_iter']",
+     "max_iter"),
+    ("compare", {"N": 20, "dca": {"max_iter": 2.5}}, "unknown dca fields ['max_iter']",
+     "max_iter"),
+    ("compare", {"N": 20, "dca": {"max_iter": True}}, "unknown dca fields ['max_iter']",
+     "max_iter"),
+    ("compare", {"N": 20, "dca": {"cost_tol": True}}, "unknown dca fields ['cost_tol']",
+     "cost_tol"),
+    ("compare", {"N": 20, "dca": {"lp_tol": "1e-9"}}, "unknown dca fields ['lp_tol']", "lp_tol"),
     ("solve", {"dca": {"warm_start": "zero"}}, "warm_start must be 'l1', got 'zero'"),
     ("solve", {"N": True}, "N must be an integer, got True"),
     ("solve", {"T": True}, "T must be a number, got True"),
@@ -153,6 +153,17 @@ BAD_VALUES = [
     ("solve", {"x0": [True, -1.0]}, "x0 must be an array of numbers, got [True, -1.0]"),
     ("oracle", {**PLANTED, "oracle": {"planted": ["1", "0", "0", "0"]}},
      "oracle.planted must be a flat or N x m array of numbers, got ['1', '0', '0', '0']"),
+    # an integer beyond the float range is not a number
+    ("solve", {"T": BIG}, f"T must be a number, got {BIG}"),
+    ("solve", {"N": BIG}, f"N must be an integer, got {BIG}"),
+    ("solve", {"x0": [BIG, -1.0]}, f"x0 must be an array of numbers, got [{BIG}, -1.0]"),
+    ("solve", {"system": {"A": [[0.0, BIG], [0.0, 0.0]], "B": [[0.0], [1.0]]}},
+     f"system.A must be an array of numbers, got [[0.0, {BIG}], [0.0, 0.0]]"),
+    ("solve", {"penalty": {"kind": "l1l2", "lambda": BIG}},
+     f"penalty field 'lambda' must be a number, got {BIG}"),
+    # nor is inf or NaN (JSON's Infinity and NaN, or a literal such as 1e400)
+    ("solve", {"T": float("inf")}, "T must be a number, got inf"),
+    ("solve", {"x0": [float("nan"), -1.0]}, "x0 must be an array of numbers, got [nan, -1.0]"),
 ]
 
 
@@ -188,6 +199,15 @@ EVERY_READER = [
      "unknown dca fields ['l0_threshold']"),
     ({"dca": {"lp_epsilon": 1e-8}}, ("solve", "compare", "oracle"),
      "unknown dca fields ['lp_epsilon']"),
+    # so are the DC run's stopping rule and the LP tolerance
+    ({"dca": {"cost_tol": 1e-8}}, ("solve", "compare", "oracle"),
+     "unknown dca fields ['cost_tol']"),
+    ({"dca": {"step_tol": 1e-9}}, ("solve", "compare", "oracle"),
+     "unknown dca fields ['step_tol']"),
+    ({"dca": {"max_iter": 50}}, ("solve", "compare", "oracle"),
+     "unknown dca fields ['max_iter']"),
+    ({"dca": {"lp_tol": 1e-9}}, ("solve", "compare", "oracle"),
+     "unknown dca fields ['lp_tol']"),
 ]
 
 

@@ -203,7 +203,11 @@ CONFIG_FIELDS = [("dca", f.name, f.default, 0, "dca fields ['bogus']")
                  for f in fields(DcaConfig)] + [
     ("certificate", "l0", 0.05, 1, "top-level fields ['certificate']"),
     ("dca", "l0_threshold", 1e-6, 1, "dca fields ['bogus', 'l0_threshold']"),
-    ("dca", "lp_epsilon", 1e-8, 1, "dca fields ['bogus', 'lp_epsilon']")]
+    ("dca", "lp_epsilon", 1e-8, 1, "dca fields ['bogus', 'lp_epsilon']"),
+    ("dca", "cost_tol", 1e-8, 1, "dca fields ['bogus', 'cost_tol']"),
+    ("dca", "step_tol", 1e-9, 1, "dca fields ['bogus', 'step_tol']"),
+    ("dca", "max_iter", 50, 1, "dca fields ['bogus', 'max_iter']"),
+    ("dca", "lp_tol", 1e-9, 1, "dca fields ['bogus', 'lp_tol']")]
 
 
 @pytest.mark.parametrize("section,key,value,code,unknown", CONFIG_FIELDS,
@@ -312,9 +316,9 @@ def count_lp_calls(monkeypatch):
     starts = []
     original = handsoff.dca.solve_lp
 
-    def counting(problem, tol=1e-9, start=None):
+    def counting(problem, start=None):
         starts.append(start)
-        return original(problem, tol=tol, start=start)
+        return original(problem, start=start)
 
     assert not hasattr(handsoff.cli, "solve_lp")
     monkeypatch.setattr(handsoff.dca, "solve_lp", counting)
@@ -360,8 +364,8 @@ def test_compare_l1_warm_starts_make_no_pivots(tmp_path, monkeypatch):
     events = []
     solve, run = handsoff.dca.solve_lp, handsoff.cli.run_dca
 
-    def recording_solve(problem, tol=1e-9, start=None):
-        sol = solve(problem, tol=tol, start=start)
+    def recording_solve(problem, start=None):
+        sol = solve(problem, start=start)
         events.append((problem.c, start, sol))
         return sol
 
@@ -489,8 +493,8 @@ def test_solve_hands_its_l1_solution_to_its_run(tmp_path, monkeypatch):
     solved, handed = [], []
     solve, run = handsoff.cli.solve_l1, handsoff.cli.run_dca
 
-    def recording_solve(dp, cfg):
-        solved.append(solve(dp, cfg))
+    def recording_solve(dp):
+        solved.append(solve(dp))
         return solved[-1]
 
     def recording_run(dp, pen, cfg, l1):
@@ -516,9 +520,9 @@ def test_each_command_builds_once_and_solves_the_l1_lp_once(tmp_path, monkeypatc
     built, solved = count_builds(monkeypatch), []
     solve = handsoff.cli.solve_l1
 
-    def counting_solve(dp, cfg):
+    def counting_solve(dp):
         solved.append(dp.N)
-        return solve(dp, cfg)
+        return solve(dp)
 
     monkeypatch.setattr(handsoff.cli, "solve_l1", counting_solve)
     pens = [{"kind": "l1l2", "lambda": 0.1}, {"kind": "scad", "lambda": 0.25, "alpha": 3.0}]
@@ -567,8 +571,8 @@ def record_controls(monkeypatch):
     controls = {}
     solve_l1, run_dca = handsoff.cli.solve_l1, handsoff.cli.run_dca
 
-    def recording_l1(dp, cfg):
-        sol = solve_l1(dp, cfg)
+    def recording_l1(dp):
+        sol = solve_l1(dp)
         controls["l1"] = sol.z
         return sol
 
@@ -978,12 +982,11 @@ def test_output_that_cannot_be_a_directory_is_a_configuration_error(tmp_path, ca
 
 
 def test_oracle_size_error_comes_before_the_certificate(tmp_path, capsys):
-    # with no size error past the cap, a bad dca value is what gets reported
+    # with no size error past the cap, a bad value read last is what gets reported
     cfg = write_config(tmp_path, system={"A": [[0.0]], "B": [[1.0]]},
-                       x0=[1.0], N=20, T=5.0, dca={"lp_tol": "x"})
+                       x0=[1.0], N=20, T=5.0, output_dir=5)
     assert main(["oracle", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == (
-        "configuration error: lp_tol must be a positive finite number, got 'x'\n")
+    assert capsys.readouterr().err == "configuration error: output_dir must be a string, got 5\n"
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from handsoff.lp import (
     INFEASIBLE,
     NUMERICAL_FAILURE,
     OPTIMAL,
+    TOL,
     LpProblem,
     LpSolution,
     kkt_residual,
@@ -133,9 +134,15 @@ def test_cost_jd_rejects_out_of_box():
     (lambda: ControlProblem(double_integrator(), np.zeros(2), "5"), DomainError),
     (lambda: ControlSignal(True, [[1.0]]), DomainError),
     (lambda: ControlSignal("x", [[1.0]]), DomainError),
-], ids=["penalty-bool", "penalty-str", "problem-bool", "problem-str", "signal-bool", "signal-str"])
+    # an integer beyond the float range is not a number either
+    (lambda: Penalty("l1l2", 10**400), ParameterError),
+    (lambda: ControlProblem(double_integrator(), np.zeros(2), 10**400), DomainError),
+    (lambda: ControlSignal(10**400, [[1.0]]), DomainError),
+], ids=["penalty-bool", "penalty-str", "problem-bool", "problem-str", "signal-bool", "signal-str",
+        "penalty-big", "problem-big", "signal-big"])
 def test_constructors_refuse_a_bool_or_a_string_for_a_number(make, error):
-    # not read as 1, and not a bare TypeError that `except HandsOffError` misses
+    # not read as 1, and not a bare TypeError (or OverflowError) that
+    # `except HandsOffError` misses
     with pytest.raises(error):
         make()
 
@@ -157,10 +164,6 @@ def test_bang_off_bang_deviation():
 # configuration
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        DcaConfig(cost_tol=0.0)
-    with pytest.raises(ParameterError):
-        DcaConfig(max_iter=0)
     with pytest.raises(ParameterError):
         DcaConfig(warm_start="hot")
     with pytest.raises(ParameterError, match="warm_start must be 'l1', got 'zero'"):
@@ -188,12 +191,11 @@ def test_lp_solve_accounting():
 
 def test_near_origin_start_reaches_the_origin():
     # The zero-input drift |Phi 0 + zeta| is 4e-9 here.  A run must still
-    # end on a vertex that steers x0 to the origin within lp_tol, not on u = 0.
+    # end on a vertex that steers x0 to the origin within lp.TOL, not on u = 0.
     dp = build_discrete(ControlProblem(double_integrator(), np.array([1e-9, -1e-9]), 5.0), 200)
-    cfg = DcaConfig()
-    res = run_dca(dp, Penalty("l1l2", 0.1), cfg)
+    res = run_dca(dp, Penalty("l1l2", 0.1))
     assert res.stop_reason == "cost_stall"
-    assert res.feas_residual <= cfg.lp_tol
+    assert res.feas_residual <= TOL
     assert res.lp_solves == 2
 
 
@@ -203,9 +205,8 @@ def test_l1_result_measures_the_l1_vertex_like_a_run():
     plant = LinearSystem([[-0.3, -0.137, -0.383], [0.137, -0.3, -0.338], [0.383, 0.338, -0.3]],
                          [[-1.265, -0.623], [0.041, -2.325], [-0.219, -1.246]])
     dp = build_discrete(ControlProblem(plant, np.array([-0.227, -0.169, -0.098]), 5.0), 40)
-    cfg = DcaConfig()
-    l1 = solve_l1(dp, cfg)
-    res = l1_result(dp, cfg, l1)
+    l1 = solve_l1(dp)
+    res = l1_result(dp, l1)
     assert res.z_star is l1.z and (res.iterations, res.lp_solves) == (1, 1)
     assert res.cost_history == [float(np.sum(np.clip(l1.z, 0.0, 1.0)))]
     # l0 counts the three fractional samples with the bang ones
@@ -215,7 +216,7 @@ def test_l1_result_measures_the_l1_vertex_like_a_run():
     assert res.feas_history == [res.feas_residual] == [l1.eq_residual]
     infeasible = build_discrete(ControlProblem(double_integrator(), np.array([100.0, 0.0]), 1.0), 8)
     with pytest.raises(InfeasibleProblemError):
-        l1_result(infeasible, cfg, solve_l1(infeasible, cfg))
+        l1_result(infeasible, solve_l1(infeasible))
 
 
 @pytest.mark.parametrize("pen", CATALOG, ids=lambda p: p.kind)
@@ -257,7 +258,7 @@ def test_an_ascent_is_rejected(pen):
     if pen.kind == "lp":
         # the rejected LP counts as an iteration and a solve, but the run
         # keeps the l1 vertex and its cost
-        l1 = solve_l1(dp, cfg)
+        l1 = solve_l1(dp)
         assert res.stop_reason == "ascent"
         assert (res.iterations, res.lp_solves) == (1, 2)
         assert np.array_equal(res.z_star, l1.z)
@@ -266,20 +267,23 @@ def test_an_ascent_is_rejected(pen):
         assert res.max_kkt_residual > l1.kkt_residual
 
 
-def test_step_stall_keeps_the_last_lp_vertex():
-    # No entry of a step in the box moves by more than 1, so step_tol=1.0
-    # stops at the first step; cost_tol=1e-300 keeps a cost stall from
+def test_step_stall_keeps_the_last_lp_vertex(monkeypatch):
+    # No entry of a step in the box moves by more than 1, so STEP_TOL = 1.0
+    # stops at the first step; COST_TOL = 1e-300 keeps a cost stall from
     # firing first.  On this plant scad's first DC step leaves the l1 vertex
     # and lowers the cost.
+    import handsoff.dca
+
+    monkeypatch.setattr(handsoff.dca, "STEP_TOL", 1.0)
+    monkeypatch.setattr(handsoff.dca, "COST_TOL", 1e-300)
     plant = LinearSystem([[-0.3, -0.137, -0.383], [0.137, -0.3, -0.338], [0.383, 0.338, -0.3]],
                          [[-1.265, -0.623], [0.041, -2.325], [-0.219, -1.246]])
     dp = build_discrete(ControlProblem(plant, np.array([-0.227, -0.169, -0.098]), 5.0), 40)
     pen = Penalty("scad", 0.25, alpha=3.0)
-    cfg = DcaConfig(warm_start="l1", step_tol=1.0, cost_tol=1e-300)
-    res = run_dca(dp, pen, cfg)
-    l1 = solve_l1(dp, cfg)
+    res = run_dca(dp, pen)
+    l1 = solve_l1(dp)
     s = phi_subgradient(pen, np.clip(l1.z, 0.0, 1.0))
-    step = solve_lp(LpProblem(1.0 - s, dp.Phi, -dp.zeta), tol=cfg.lp_tol, start=l1.start)
+    step = solve_lp(LpProblem(1.0 - s, dp.Phi, -dp.zeta), start=l1.start)
     assert res.stop_reason == "step_stall" and res.iterations == 1
     assert np.array_equal(res.z_star, step.z)
     assert np.max(np.abs(step.z - l1.z)) > 0.01
@@ -327,8 +331,15 @@ def test_inadmissible_penalty_raises_with_report():
     assert again.value.report is exc.value.report
 
 
-def test_iteration_cap():
-    res = run_dca(benchmark_dp(20), Penalty("l1l2", 0.1), DcaConfig(max_iter=1))
+def test_iteration_cap(monkeypatch):
+    # capped_l1 stalls after two steps here; a cap of one ends the run first
+    import handsoff.dca
+
+    dp, pen = benchmark_dp(20), Penalty("capped_l1", 0.8, alpha=0.5)
+    assert run_dca(dp, pen).iterations == 2
+    monkeypatch.setattr(handsoff.dca, "MAX_ITER", 1)
+    res = run_dca(dp, pen)
+    assert res.stop_reason == "max_iter"
     assert res.iterations == 1
     assert res.lp_solves == 2
 
@@ -365,10 +376,10 @@ def count_phase1(monkeypatch):
     calls = []
     original = handsoff.dca.solve_lp
 
-    def counting(problem, tol=1e-9, start=None):
+    def counting(problem, start=None):
         if start is None:
             calls.append(problem)
-        return original(problem, tol=tol, start=start)
+        return original(problem, start=start)
 
     monkeypatch.setattr(handsoff.dca, "solve_lp", counting)
     return calls
@@ -381,7 +392,7 @@ def test_passed_start_gives_the_same_result(pen, warm_start):
     # one the run would solve for itself, so the runs agree bit for bit.
     dp = benchmark_dp(40)
     cfg = DcaConfig(warm_start=warm_start)
-    l1 = solve_l1(dp, cfg)
+    l1 = solve_l1(dp)
     z, basis, status = l1.z.copy(), l1.start.basis.copy(), l1.start.status.copy()
     assert_same(run_dca(dp, pen, cfg, l1), run_dca(dp, pen, cfg))
     assert np.array_equal(l1.z, z)
@@ -405,8 +416,8 @@ def test_each_lp_starts_from_the_basis_the_last_one_ended_on(monkeypatch):
     calls = []
     original = handsoff.dca.solve_lp
 
-    def recording(problem, tol=1e-9, start=None):
-        sol = original(problem, tol=tol, start=start)
+    def recording(problem, start=None):
+        sol = original(problem, start=start)
         calls.append((problem, start, sol))
         return sol
 
@@ -432,8 +443,6 @@ def test_start_for_another_problem_is_refused():
     l1 = solve_l1(benchmark_dp(20))
     with pytest.raises(ParameterError):
         run_dca(benchmark_dp(30), Penalty("l1l2", 0.1), DcaConfig(), l1)
-    with pytest.raises(ParameterError):
-        run_dca(benchmark_dp(20), Penalty("l1l2", 0.1), DcaConfig(lp_tol=1e-8), l1)
     moved = build_discrete(ControlProblem(double_integrator(), np.array([0.5, -1.0]), 5.0), 20)
     with pytest.raises(ParameterError):
         run_dca(moved, Penalty("l1l2", 0.1), DcaConfig(warm_start="l1"), l1)
@@ -441,22 +450,22 @@ def test_start_for_another_problem_is_refused():
 
 def test_checked_lp_maps_statuses():
     ok = LpSolution(np.zeros(1), 0.0, OPTIMAL, 0.0, 0.0, 0, np.zeros(1), 0.0)
-    assert checked_lp(ok, "x", 1e-9) is ok
+    assert checked_lp(ok, "x") is ok
     with pytest.raises(InfeasibleProblemError) as exc:
         checked_lp(LpSolution(np.zeros(1), 0.0, INFEASIBLE, 1.0, np.inf, 0,
-                              np.zeros(1), 0.25), "x", 1e-9)
+                              np.zeros(1), 0.25), "x")
     assert exc.value.certificate == 0.25
     with pytest.raises(NumericalError, match="LP failure in the test LP"):
         checked_lp(LpSolution(np.zeros(1), 0.0, NUMERICAL_FAILURE, 1.0, np.inf, 0,
-                              np.zeros(1), 0.0), "the test LP", 1e-9)
+                              np.zeros(1), 0.0), "the test LP")
     # R2's failure: the equality test passed, the KKT test did not
     with pytest.raises(NumericalError) as exc:
         checked_lp(LpSolution(np.zeros(1), 0.0, NUMERICAL_FAILURE, 0.0, 1.057e-9, 3,
-                              np.zeros(1), 0.0), "iteration 1", 1e-9)
+                              np.zeros(1), 0.0), "iteration 1")
     assert str(exc.value) == ("LP failure in iteration 1 (equality residual 0.000e+00, "
                               "KKT residual 1.057e-09, tolerance 1.000e-09)")
     with pytest.raises(NumericalError) as exc:
         checked_lp(LpSolution(np.zeros(1), 0.0, NUMERICAL_FAILURE, 2.5e-7, 4e-12, 3,
-                              np.zeros(1), 0.0), "the l1 baseline", 1e-8)
+                              np.zeros(1), 0.0), "the l1 baseline")
     assert str(exc.value) == ("LP failure in the l1 baseline (equality residual 2.500e-07, "
-                              "KKT residual 4.000e-12, tolerance 1.000e-08)")
+                              "KKT residual 4.000e-12, tolerance 1.000e-09)")

@@ -189,14 +189,6 @@ def test_problem_shape_validation():
         LpProblem(c=np.array([np.nan, 0.0]), Aeq=np.ones((1, 2)), beq=np.ones(1))
 
 
-def test_tol_validation():
-    p = LpProblem(c=np.zeros(1), Aeq=np.ones((1, 1)), beq=np.ones(1))
-    with pytest.raises(ParameterError):
-        solve_lp(p, tol=0.0)
-    with pytest.raises(ParameterError):
-        solve_lp(p, tol=float("nan"))
-
-
 # ---------------------------------------------------------------------------
 # phase 1 once per feasible set: each solve starts from the basis the last ended on
 
@@ -314,8 +306,6 @@ def test_start_for_another_feasible_set_is_refused():
     for bad in (other_b, other_A, wider):
         with pytest.raises(ParameterError):
             solve_lp(bad, start=start)
-    with pytest.raises(ParameterError):
-        solve_lp(p, tol=1e-8, start=start)
     assert solve_lp(LpProblem(p.c.copy(), p.Aeq.copy(), p.beq.copy()), start=start).status == OPTIMAL
 
 
@@ -355,16 +345,17 @@ def test_start_holds_the_augmented_matrix_and_its_basis_point(monkeypatch):
     assert np.array_equal(start.x, kept)
 
 
-def test_start_survives_a_failed_phase_2():
-    # phase 1 ends with no artificial mass, but no rounded vertex meets tol=1e-300
+def test_start_survives_a_failed_phase_2(monkeypatch):
+    # phase 1 ends with no artificial mass, but no rounded vertex meets TOL = 1e-300
+    monkeypatch.setattr(handsoff.lp, "TOL", 1e-300)
     rng = np.random.default_rng(1)
     A = rng.normal(size=(2, 5))
     b = A @ rng.uniform(0.0, 1.0, size=5)
-    sol = solve_lp(LpProblem(np.ones(5), A, b), tol=1e-300)
+    sol = solve_lp(LpProblem(np.ones(5), A, b))
     assert sol.status == NUMERICAL_FAILURE and sol.phase1_value == 0.0
     assert sol.start is not None
     p = LpProblem(-np.ones(5), A, b)
-    assert_same_solution(solve_lp(p, tol=1e-300, start=sol.start), solve_lp(p, tol=1e-300))
+    assert_same_solution(solve_lp(p, start=sol.start), solve_lp(p))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +443,8 @@ def test_iteration_limit_cuts_a_flip_run(max_iter, outcome):
     basis = np.array([0])
     status = np.full(q, _LOWER, dtype=np.int8)
     status[0] = _BASIC
-    out, x, duals, iters = _simplex(A, np.array([0.5]), c, np.zeros(q), np.ones(q),
-                                    basis, status, 1e-10, max_iter)
+    out, x, duals, iters = _simplex(A, np.array([0.5]), c, np.ones(q), basis, status, 1e-10,
+                                    max_iter)
     flips = min(max_iter, 11)
     assert (out, iters) == (outcome, flips)
     assert np.array_equal(basis, [0])
@@ -475,8 +466,8 @@ def test_bland_rule_ends_a_degenerate_cycle(max_iter, outcome, objective):
     basis = np.arange(3)
     status = np.full(7, _LOWER, dtype=np.int8)
     status[:3] = _BASIC
-    out, x, duals, iters = _simplex(A, np.array([0.0, 0.0, 1.0]), c, np.zeros(7), np.ones(7),
-                                    basis, status, 1e-10, max_iter)
+    out, x, duals, iters = _simplex(A, np.array([0.0, 0.0, 1.0]), c, np.ones(7), basis, status,
+                                    1e-10, max_iter)
     assert out == outcome and c @ x == pytest.approx(objective, abs=1e-15)
     if outcome == "optimal":
         assert iters == 25 > 3 * 7  # 21 degenerate pivots, then 4 by Bland's rule
@@ -535,21 +526,19 @@ def test_start_carries_read_only_phase_2_bounds():
     p = dense_lp(1)
     n, q = p.Aeq.shape
     first = solve_lp(p).start
-    assert np.array_equal(first.lower, np.zeros(q + n))
     assert np.array_equal(first.upper, np.concatenate([np.ones(q), np.zeros(n)]))
-    for bound in (first.lower, first.upper):
-        assert not bound.flags.writeable
-        with pytest.raises(ValueError):
-            bound[0] = 0.5
-    kept = first.lower.copy(), first.upper.copy()
+    assert not first.upper.flags.writeable
+    with pytest.raises(ValueError):
+        first.upper[0] = 0.5
+    kept = first.upper.copy()
     start = first
     for c in objectives(1, q):
         sol = solve_lp(LpProblem(c, p.Aeq, p.beq), start=start)
         assert sol.status == OPTIMAL
         # every start of the feasible set shares phase 1's bounds
-        assert sol.start.lower is first.lower and sol.start.upper is first.upper
+        assert sol.start.upper is first.upper
         start = sol.start
-    assert np.array_equal(first.lower, kept[0]) and np.array_equal(first.upper, kept[1])
+    assert np.array_equal(first.upper, kept)
 
 
 def test_returned_point_is_the_fresh_solve_of_the_final_basis(monkeypatch):
@@ -586,12 +575,12 @@ def failing_pass(monkeypatch, fail_at, outcome):
     real = handsoff.lp._simplex
     calls = []
 
-    def patched(A, b, c, lower, upper, basis, status, dual_tol, max_iter, x_start=None):
+    def patched(A, b, c, upper, basis, status, dual_tol, max_iter, x_start=None):
         failing = len(calls) + 1 == fail_at
         with monkeypatch.context() as patch:
             if failing and outcome == "singular":
                 patch.setattr(np.linalg, "solve", _singular)
-            result = real(A, b, c, lower, upper, basis, status, dual_tol,
+            result = real(A, b, c, upper, basis, status, dual_tol,
                           2 if failing and outcome == "iteration_limit" else max_iter, x_start)
         calls.append(result)
         return result
@@ -630,7 +619,7 @@ def test_a_failed_pass_is_a_numerical_failure(case, outcome, monkeypatch):
     else:
         assert sol.start is given and sol.phase1_value == 0.0
     with pytest.raises(NumericalError, match="LP failure in the test LP"):
-        checked_lp(sol, "the test LP", 1e-9)
+        checked_lp(sol, "the test LP")
     if sol.start is not None:  # the start it returns is feasible and reusable
         monkeypatch.undo()
         assert solve_lp(other, start=sol.start).status == OPTIMAL
